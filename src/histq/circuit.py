@@ -16,6 +16,7 @@ both values, one assignment per history.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -297,58 +298,67 @@ class SeqDescription:
     ops: tuple[SeqOp, ...]
 
 
+def _segment_names(counts: Mapping[str, int]) -> dict[str, list[str]]:
+    """Name segment k of line q ``q<k>``, unless another segment shares that name.
+
+    Clashing segments (line ``q1`` cut ten times and line ``q11`` both give
+    ``q110``) take ``q_<k>`` instead, with as many underscores as it takes to
+    be unique, so every segment name is distinct.
+    """
+    plain = Counter(f"{q}{k}" for q, n in counts.items() for k in range(n))
+    taken = set(plain)
+    names: dict[str, list[str]] = {}
+    for q, n in counts.items():
+        names[q] = []
+        for k in range(n):
+            name = f"{q}{k}"
+            if plain[name] > 1:
+                sep = "_"
+                while (name := f"{q}{sep}{k}") in taken:
+                    sep += "_"
+                taken.add(name)
+            names[q].append(name)
+    return names
+
+
 def lower_sequential(desc: SeqDescription) -> Circuit:
     """Cut each qubit line into wire segments at the gates that act on it.
 
-    Segment k of line q is named ``q<k>``; control and symmetric legs attach
-    to the current segment without cutting it.
+    Segment k of line q is named ``q<k>`` (see ``_segment_names`` for the
+    rare clash); control and symmetric legs attach to the current segment
+    without cutting it.
     """
     names = [ln.name for ln in desc.lines]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate qubit line")
-    current: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    wires: list[Wire] = []
-    order: list[str] = []   # wire creation order, grouped per line at the end
-
-    def seg(line: str) -> str:
-        return f"{line}{counts[line]}"
-
-    for ln in desc.lines:
-        counts[ln.name] = 0
-        current[ln.name] = seg(ln.name)
-    segments: dict[str, list[str]] = {ln.name: [current[ln.name]] for ln in desc.lines}
-
-    gates: list[GateInstance] = []
+    cuts = {name: 0 for name in names}   # segment k of line q is (q, k)
+    bound: list[tuple[GateDef, list[tuple[str, int]]]] = []
     for op in desc.ops:
         for q in op.qubits:
-            if q not in current:
+            if q not in cuts:
                 raise ValidationError(f"gate {op.gate.name} names unknown line {q}")
         slots = op.gate.qubit_slots()
         if len(slots) != len(op.qubits):
             raise ValidationError(
                 f"gate {op.gate.name} takes {len(slots)} qubits, got {len(op.qubits)}")
-        binding: list[str | None] = [None] * op.gate.n_legs
+        binding: list = [None] * op.gate.n_legs
         for slot, q in zip(slots, op.qubits):
             if slot[0] in ("ctrl", "sym"):
-                binding[slot[1]] = current[q]
+                binding[slot[1]] = (q, cuts[q])
             else:
                 _, in_leg, out_leg = slot
-                binding[in_leg] = current[q]
-                counts[q] += 1
-                nxt = seg(q)
-                binding[out_leg] = nxt
-                current[q] = nxt
-                segments[q].append(nxt)
-        gates.append(GateInstance(op.gate, tuple(binding)))
+                binding[in_leg] = (q, cuts[q])
+                cuts[q] += 1
+                binding[out_leg] = (q, cuts[q])
+        bound.append((op.gate, binding))
 
-    seen: set[str] = set()
+    segs = _segment_names({q: n + 1 for q, n in cuts.items()})
+    gates = [GateInstance(g, tuple(segs[q][k] for q, k in binding))
+             for g, binding in bound]
+    wires: list[Wire] = []
     for ln in desc.lines:
-        first, last = segments[ln.name][0], segments[ln.name][-1]
-        for s in segments[ln.name]:
-            if s in seen:
-                raise ValidationError(f"wire name collision: {s}")
-            seen.add(s)
+        first, last = segs[ln.name][0], segs[ln.name][-1]
+        for s in segs[ln.name]:
             wires.append(Wire(
                 s,
                 in_bound=(s == first), in_value=ln.in_value if s == first else None,

@@ -165,13 +165,24 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
 def _add_engine_args(p: argparse.ArgumentParser, with_engine: bool = True):
     if with_engine:
         p.add_argument("--engine", choices=("soh", "canonical"), default="soh")
-    p.add_argument("--max-wires", type=int, default=None,
+    p.add_argument("--max-wires", type=_positive_int, default=None,
                    help="internal-wire guard (default: HISTQ_MAX_WIRES or 40)")
-    p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--chunk-size", type=_positive_int, default=None,
+                   help="histories per block, rounded down to a power of two")
+    p.add_argument("--threads", type=_positive_int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

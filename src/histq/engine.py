@@ -6,13 +6,25 @@ gate entries selected by each history, times 2^(-K/2) for the circuit's total
 normalization exponent K.  Nothing here requires, or checks, that the circuit
 has a gate schedule — feedback netlists evaluate the same way.
 
-Histories are processed in fixed-size chunks as vectorized index arithmetic:
-for each gate, the packed entry-table index is a constant (external bits and
-complemented reads) XORed with shifted bits of the history counter.  Lanes
-whose running product hits an exact zero are dropped from later gates and
-scattered back before the chunk is reduced, so pruning never changes the
-result, only the work.  Chunks are reduced in ascending order whether or not
-a thread pool is used; repeated runs with the same options are reproducible.
+Histories are numbered by a w-bit counter and summed in aligned blocks of
+2^low histories: the chunk size rounded down to a power of two, at most 2^w.
+Within a block only the low ``low`` counter bits change; the block number
+supplies the high bits.  So the sum is split once per query:
+
+* gates that read only low-bit wires give the same factors in every block;
+  their products over the 2^low low patterns are computed once and shared;
+* per block, each gate that reads a high-bit wire has those legs folded into
+  its constant entry index.  A gate with no low leg becomes a scalar; if the
+  scalars multiply to an exact zero the block is skipped untouched.
+  Otherwise the shared products are scaled and only the gates with low legs
+  run over them.
+
+A gate's entry index is a constant (external bits and complemented reads)
+XORed with shifted counter bits.  Lanes whose running product hits an exact
+zero are dropped from later gates and scattered back before the block is
+reduced, so pruning never changes the result, only the work.  Blocks are
+reduced in ascending order whether or not a thread pool is used; repeated
+runs with the same options are reproducible, and threads change no bit.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from .errors import MaxWiresExceeded
 from .gates import GateClass, classify_gate
 
 DEFAULT_MAX_WIRES = 40
+HARD_MAX_WIRES = 62    # 2^63 histories no longer fit a signed 64-bit count
 DEFAULT_CHUNK = 1 << 16
 _CLASS_RANK = {GateClass.CLASSICAL: 0, GateClass.PHASE: 1, GateClass.GENERAL: 2}
 
@@ -51,6 +64,7 @@ def resolve_max_wires(max_wires: int | None) -> int:
 @dataclass
 class _GateSpec:
     table: np.ndarray                    # flat entry table, complex128
+    nonzero: np.ndarray | None           # GateDef.nonzero_mask
     const_base: int                      # external + complement bits, pre-packed
     ext_legs: tuple[tuple[str, int], ...]  # (wire, place) still to fill per query
     var_legs: tuple[tuple[int, int], ...]  # (history shift, place)
@@ -78,6 +92,10 @@ class EvalResult:
 
 def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
     internal, _ = classify_wires(c)
+    if len(internal) > HARD_MAX_WIRES:
+        raise MaxWiresExceeded(
+            f"{len(internal)} internal wires exceed the hard limit of {HARD_MAX_WIRES} "
+            f"(2^{len(internal)} histories overflow a 64-bit count); no setting raises it")
     limit = resolve_max_wires(max_wires)
     if len(internal) > limit:
         raise MaxWiresExceeded(
@@ -102,59 +120,101 @@ def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
                 var.append((w - 1 - pos[wire], place))
             else:
                 ext.append((wire, place))
-        specs.append(_GateSpec(g.gate.entries.reshape(-1), const, tuple(ext), tuple(var)))
+        specs.append(_GateSpec(g.gate.entries.reshape(-1), g.gate.nonzero_mask,
+                               const, tuple(ext), tuple(var)))
     return _Prepared(c, tuple(order), specs, c.total_norm_exponent)
 
 
-def _chunk_sum(specs: list[_GateSpec], consts: list[int],
-               start: int, stop: int) -> tuple[complex, int]:
-    m = stop - start
-    h = np.arange(start, stop, dtype=np.int64)
-    products = np.zeros(m, dtype=np.complex128)
-    lanes = np.arange(m)
-    vals = np.ones(len(lanes), dtype=np.complex128)
-    for spec, const in zip(specs, consts):
-        idx = np.full(len(lanes), const, dtype=np.int64)
-        for shift, place in spec.var_legs:
+def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply each ``(spec, const, legs)`` factor into ``vals``, lane by lane.
+
+    ``h`` holds each lane's low counter bits, which double as its slot in the
+    block; lanes whose factor is an exact zero are dropped.
+    """
+    for spec, const, legs in gates:
+        idx = np.full(len(h), const, dtype=np.int64)
+        for shift, place in legs:
             idx ^= ((h >> shift) & 1) << place
-        f = spec.table[idx]
-        vals = vals * f
-        nz = np.nonzero(f)[0]
-        if len(nz) < len(lanes):
-            lanes = lanes[nz]
-            vals = vals[nz]
+        vals = vals * spec.table[idx]
+        if spec.nonzero is None:
+            continue
+        nz = np.flatnonzero(spec.nonzero[idx])
+        if len(nz) < len(h):
             h = h[nz]
-            if len(lanes) == 0:
+            vals = vals[nz]
+            if len(h) == 0:
                 break
-    products[lanes] = vals
+    return h, vals
+
+
+def _fold(const: int, legs, j: int) -> int:
+    """Entry index ``const`` with the high-bit legs read from block number ``j``."""
+    for shift, place in legs:
+        const ^= ((j >> shift) & 1) << place
+    return const
+
+
+def _block_sum(j: int, low: int, base: tuple[np.ndarray, np.ndarray],
+               high_only, mixed) -> tuple[complex, int]:
+    """Sum block ``j``: the 2^low histories whose high counter bits are ``j``."""
+    h, vals = base
+    if len(h) == 0:
+        return 0j, 0
+    scalar = 1
+    for spec, const, high_legs in high_only:
+        scalar *= spec.table[_fold(const, high_legs, j)]
+        if scalar == 0:
+            return 0j, 0
+    h, vals = _run_gates([(spec, _fold(const, high_legs, j), low_legs)
+                          for spec, const, low_legs, high_legs in mixed], h, vals * scalar)
+    products = vals
+    if len(h) < 1 << low:
+        products = np.zeros(1 << low, dtype=np.complex128)
+        products[h] = vals
     return complex(np.sum(products)), int(np.count_nonzero(vals))
 
 
 def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
              max_wires: int | None = None, chunk_size: int | None = None,
              threads: int | None = None) -> EvalResult:
-    """Sum all histories for one fully bound boundary query."""
+    """Sum all histories for one fully bound boundary query.
+
+    ``chunk_size`` is the number of histories per block, rounded down to a
+    power of two; ``threads`` sums blocks in a pool.  Neither changes the
+    result.
+    """
     prep = prepare(c, max_wires)
     assignment = resolve_boundary(c, boundary or BoundaryAssignment())
     w = len(prep.internal)
     total = 1 << w
     if assignment is None:
         return EvalResult(Amplitude(0j, prep.norm_exponent), prep.internal, total, 0)
-    consts = []
+    chunk = DEFAULT_CHUNK if chunk_size is None else chunk_size
+    if chunk < 1:
+        raise ValueError("chunk size must be positive")
+    low = min(w, chunk.bit_length() - 1)
+    fixed, high_only, mixed = [], [], []
     for spec in prep.specs:
         const = spec.const_base
         for wire, place in spec.ext_legs:
             const ^= assignment[wire] << place
-        consts.append(const)
-    chunk = chunk_size or DEFAULT_CHUNK
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if threads and threads > 1 and len(ranges) > 1:
+        low_legs = tuple((s, p) for s, p in spec.var_legs if s < low)
+        high_legs = tuple((s - low, p) for s, p in spec.var_legs if s >= low)
+        if not high_legs:
+            fixed.append((spec, const, low_legs))
+        elif not low_legs:
+            high_only.append((spec, const, high_legs))
+        else:
+            mixed.append((spec, const, low_legs, high_legs))
+    base = _run_gates(fixed, np.arange(1 << low, dtype=np.int64),
+                      np.ones(1 << low, dtype=np.complex128))
+    blocks = range(total >> low)
+    block = lambda j: _block_sum(j, low, base, high_only, mixed)
+    if threads and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _chunk_sum(prep.specs, consts, *r), ranges))
+            parts = list(pool.map(block, blocks))
     else:
-        parts = [_chunk_sum(prep.specs, consts, a, b) for a, b in ranges]
+        parts = map(block, blocks)
     value = 0j
     accepted = 0
     for v, acc in parts:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -54,6 +55,12 @@ class GateDef:
     @property
     def n_legs(self) -> int:
         return len(self.legs)
+
+    @cached_property
+    def nonzero_mask(self) -> np.ndarray | None:
+        """Flat ``entries != 0`` for pruning, or None when no entry is zero."""
+        mask = self.entries.reshape(-1) != 0
+        return None if mask.all() else mask
 
     @property
     def is_symmetric(self) -> bool:

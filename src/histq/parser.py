@@ -57,9 +57,12 @@ def parse_theta(tok: str, lineno: int) -> float:
         v = math.pi / denom
         return -v if m.group(1) else v
     try:
-        return float(tok)
+        theta = float(tok)
     except ValueError:
         raise ParseError(lineno, f"malformed angle {tok!r}") from None
+    if not math.isfinite(theta):
+        raise ParseError(lineno, f"angle {tok!r} is not finite")
+    return theta
 
 
 def _parse_entry(tok: str, lineno: int) -> complex:
@@ -67,9 +70,12 @@ def _parse_entry(tok: str, lineno: int) -> complex:
     if len(parts) != 2:
         raise ParseError(lineno, f"matrix entry {tok!r} is not RE:IM")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re_part, im_part = float(parts[0]), float(parts[1])
     except ValueError:
         raise ParseError(lineno, f"matrix entry {tok!r} is not RE:IM") from None
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ParseError(lineno, f"matrix entry {tok!r} is not finite")
+    return complex(re_part, im_part)
 
 
 def _wire_ref(tok: str, lineno: int) -> tuple[str, bool]:

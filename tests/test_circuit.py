@@ -153,6 +153,25 @@ def test_lower_sequential_segment_names():
     assert classify_wires(c) == (("a1",), ("a0", "a2", "b0", "b1"))
 
 
+def test_lower_sequential_segment_name_clash():
+    # line q1 cut ten times would name its last segment q110, which is also
+    # segment 0 of line q11
+    ops = tuple(SeqOp(BUILTIN["X"], ("q1",)) for _ in range(10))
+    c = lower_sequential(SeqDescription((SeqLine("q1"), SeqLine("q11")), ops))
+    names = [x.name for x in c.wires]
+    assert len(set(names)) == len(names) == 12
+    assert names[:10] == [f"q1{k}" for k in range(10)]
+    assert names[10:] == ["q1_10", "q11_0"]
+    assert validate(c) == []
+    # a separator that would clash in turn grows until it is unique
+    ops += tuple(SeqOp(BUILTIN["X"], ("q1_",)) for _ in range(10))
+    c = lower_sequential(SeqDescription(
+        (SeqLine("q1"), SeqLine("q11"), SeqLine("q1_")), ops))
+    names = [x.name for x in c.wires]
+    assert len(set(names)) == len(names) == 23
+    assert "q1__10" in names and "q1_10" in names
+
+
 def test_lower_sequential_duplicate_line_rejected():
     desc = SeqDescription((SeqLine("a"), SeqLine("a")), ())
     with pytest.raises(ValidationError):

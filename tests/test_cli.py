@@ -124,6 +124,15 @@ def test_guard_exit_code(teleport, capsys, monkeypatch):
                      "--max-wires", "10"]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--chunk-size", "--threads", "--max-wires"])
+@pytest.mark.parametrize("value", ["-1", "0", "x"])
+def test_engine_knobs_must_be_positive(teleport, capsys, flag, value):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["run", teleport, "--in", "0--", "--out", "000", flag, value])
+    assert ei.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.circuit"
     p.write_text("version 1\nmode net\nwire a\ngate NOPE a\n")

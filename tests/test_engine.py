@@ -3,16 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from histq import (BUILTIN, BoundaryAssignment, MaxWiresExceeded,
                    SeqDescription, SeqLine, SeqOp, accepted_history_count,
                    amplitude_canonical, evaluate, free_output_ends,
                    lower_sequential, memory_probe, output_distribution,
-                   parse_circuit, transition_probability)
+                   parse_circuit, phase_gate, transition_probability)
+from histq import engine
 from histq.engine import resolve_max_wires
 from histq.examples import TELEPORTATION_TEXT
 
-from conftest import random_circuit, random_query
+from conftest import POOL1, POOL2, POOL3, THETAS, random_circuit, random_query
 
 
 def chain(n_gates, name="a", gate="X"):
@@ -105,6 +107,81 @@ def test_chunking_on_phase_circuit():
         a = evaluate(c, q).value
         b = evaluate(c, q, chunk_size=5, threads=2).value
         assert abs(a - b) < 1e-12
+
+
+@st.composite
+def split_cases(draw):
+    """A random 2-5 line circuit, a full query and a power-of-two chunk."""
+    n = draw(st.integers(2, 5))
+    names = [f"q{i}" for i in range(n)]
+    pools = [POOL1, POOL2] + ([POOL3] if n >= 3 else [])
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(pools + ["phase"]))
+        if kind == "phase":
+            k = draw(st.integers(1, min(3, n)))
+            gate = phase_gate(draw(st.sampled_from(THETAS)), k)
+        else:
+            gate = BUILTIN[draw(st.sampled_from(kind))]
+            k = len(gate.qubit_slots())
+        qubits = draw(st.permutations(names))[:k]
+        ops.append(SeqOp(gate, tuple(qubits)))
+    lines = tuple(SeqLine(nm, draw(st.sampled_from([None, 0, 1])),
+                          draw(st.sampled_from([None, 0, 1]))) for nm in names)
+    c = lower_sequential(SeqDescription(lines, tuple(ops)))
+    bits = st.integers(0, 1)
+    q = BoundaryAssignment(
+        {w.name: draw(bits) for w in c.input_wires if w.in_value is None},
+        {w.name: draw(bits) for w in c.output_wires if w.out_value is None})
+    return c, q, 1 << draw(st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_split_sum_matches_dense_under_any_chunking(case):
+    c, q, pow2 = case
+    dense = amplitude_canonical(c, q)
+    accepted = set()
+    for chunk in (1, 2, 3, 5, pow2):
+        single = evaluate(c, q, chunk_size=chunk)
+        threaded = evaluate(c, q, chunk_size=chunk, threads=2)
+        assert abs(single.value - dense) <= 1e-10
+        # blocks are reduced in ascending order either way
+        assert threaded.value == single.value
+        accepted |= {single.accepted, threaded.accepted}
+    assert len(accepted) == 1
+
+
+def test_block_skip_keeps_accepted_exact(monkeypatch):
+    # internal wires sort a1, a2, b1; a chunk of 2 leaves only b1 in the low
+    # bits, so the X between a1 and a2 reads high bits only and zeroes the
+    # two blocks where a1 == a2 before any lane is touched
+    c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\nqubit b in=0 out=0\n"
+                      "apply H a\napply X a\napply H a\napply H b\napply H b\n")
+    whole = evaluate(c, BoundaryAssignment())
+    assert whole.value == 1 and whole.accepted == 4   # HXH = Z, HH = I
+    calls = []
+    run_gates = engine._run_gates
+    monkeypatch.setattr(engine, "_run_gates",
+                        lambda *a: calls.append(1) or run_gates(*a))
+    for threads in (None, 2):
+        calls.clear()
+        r = evaluate(c, BoundaryAssignment(), chunk_size=2, threads=threads)
+        assert r.value == whole.value and r.accepted == whole.accepted
+        assert len(calls) == 1 + 2   # the shared low products, then 2 of 4 blocks
+
+
+def test_hard_wire_cap(monkeypatch):
+    c = chain(64)  # 63 internal wires: 2^63 histories
+    # prepare is the guard evaluate runs first; calling it alone cannot
+    # start the enumeration even if the cap were missing
+    with pytest.raises(MaxWiresExceeded) as ei:
+        engine.prepare(c, max_wires=1000)
+    assert "63 internal wires" in str(ei.value) and "hard limit of 62" in str(ei.value)
+    monkeypatch.setenv("HISTQ_MAX_WIRES", "1000")
+    with pytest.raises(MaxWiresExceeded):
+        engine.prepare(c)
+    assert len(engine.prepare(chain(63), max_wires=1000).internal) == 62
 
 
 def test_wire_guard(monkeypatch):

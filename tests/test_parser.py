@@ -68,6 +68,16 @@ def test_theta_forms():
         parse_theta("pi/0", 1)
 
 
+def test_non_finite_numbers_rejected():
+    for tok in ("inf", "-inf", "nan", "infinity"):
+        e = perr(f"version 1\nmode seq\nqubit a\nphase {tok} a\n")
+        assert e.line == 4 and "not finite" in str(e)
+    # nan passes the unitarity check (nan > tol is False), so it must stop here
+    for tok in ("nan:0", "0:inf"):
+        e = perr(f"version 1\nmode net\nmatrix R 1\n{tok} 1:0\n1:0 0:0\nwire a in\n")
+        assert e.line == 4 and "not finite" in str(e)
+
+
 def test_phase_directive():
     c = parse_circuit("version 1\nmode net\nwire a in out\nwire b in out\n"
                       "phase pi/2 a b\n")
