@@ -181,7 +181,7 @@ def _add_engine_args(p: argparse.ArgumentParser, with_engine: bool = True):
     p.add_argument("--max-wires", type=_positive_int, default=None,
                    help="internal-wire guard (default: HISTQ_MAX_WIRES or 40)")
     p.add_argument("--chunk-size", type=_positive_int, default=None,
-                   help="histories per block, rounded down to a power of two")
+                   help="histories held at once, rounded down to a power of two")
     p.add_argument("--threads", type=_positive_int, default=None)
 
 

@@ -6,25 +6,29 @@ gate entries selected by each history, times 2^(-K/2) for the circuit's total
 normalization exponent K.  Nothing here requires, or checks, that the circuit
 has a gate schedule — feedback netlists evaluate the same way.
 
-Histories are numbered by a w-bit counter and summed in aligned blocks of
-2^low histories: the chunk size rounded down to a power of two, at most 2^w.
-Within a block only the low ``low`` counter bits change; the block number
-supplies the high bits.  So the sum is split once per query:
+Histories are numbered by a w-bit counter.  The chunk size, rounded down to
+a power of two 2^low (at most 2^w), splits it into low ``low`` bits and a
+block number holding the high bits.  Each gate reads only low bits, only
+high bits, or both ("mixed"), and the sum runs in three stages:
 
-* gates that read only low-bit wires give the same factors in every block;
-  their products over the 2^low low patterns are computed once and shared;
-* per block, each gate that reads a high-bit wire has those legs folded into
-  its constant entry index.  A gate with no low leg becomes a scalar; if the
-  scalars multiply to an exact zero the block is skipped untouched.
-  Otherwise the shared products are scaled and only the gates with low legs
-  run over them.
+* low stage: the low-only gates run once over the 2^low low patterns.  Of
+  the low bits only the m that some mixed gate reads matter afterwards, so
+  by the distributive law the surviving patterns are summed out onto those
+  m bits, keeping per key a marginal product and a count of histories;
+* high stage: the high-only gates run over a run of consecutive block
+  numbers at once, leaving the surviving blocks and their scalar products;
+* cross stage: each surviving block is crossed with each kept key, the lane
+  starting at scalar times marginal, and the mixed gates run over these
+  lanes.  The amplitude is the sum of the surviving lanes, and the accepted
+  count the sum of their keys' counts, so histories whose marginal cancels
+  to exactly zero are still counted.
 
 A gate's entry index is a constant (external bits and complemented reads)
-XORed with shifted counter bits.  Lanes whose running product hits an exact
-zero are dropped from later gates and scattered back before the block is
-reduced, so pruning never changes the result, only the work.  Blocks are
-reduced in ascending order whether or not a thread pool is used; repeated
-runs with the same options are reproducible, and threads change no bit.
+XORed with shifted lane bits; lanes whose factor is an exact zero are
+dropped from later gates.  A run holds at most 2^low lanes and at least one
+block, so memory stays O(chunk).  Runs are reduced in ascending order
+whether or not a thread pool is used: threads change no bit, while the
+chunk size may move the last bits of an inexact sum.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires,
                       resolve_boundary)
-from .errors import MaxWiresExceeded
+from .errors import MaxWiresExceeded, ValidationError
 from .gates import GateClass, classify_gate
 
 DEFAULT_MAX_WIRES = 40
@@ -53,12 +57,15 @@ def resolve_max_wires(max_wires: int | None) -> int:
     if max_wires is not None:
         return max_wires
     env = os.environ.get("HISTQ_MAX_WIRES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"HISTQ_MAX_WIRES={env!r} is not an integer") from None
-    return DEFAULT_MAX_WIRES
+    if env is None:
+        return DEFAULT_MAX_WIRES
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ValidationError(f"HISTQ_MAX_WIRES={env!r} is not an integer") from None
+    if limit < 1:
+        raise ValidationError(f"HISTQ_MAX_WIRES={env!r} is not a positive integer")
+    return limit
 
 
 @dataclass
@@ -72,7 +79,6 @@ class _GateSpec:
 
 @dataclass
 class _Prepared:
-    circuit: Circuit
     internal: tuple[str, ...]
     specs: list[_GateSpec]
     norm_exponent: int
@@ -122,14 +128,14 @@ def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
                 ext.append((wire, place))
         specs.append(_GateSpec(g.gate.entries.reshape(-1), g.gate.nonzero_mask,
                                const, tuple(ext), tuple(var)))
-    return _Prepared(c, tuple(order), specs, c.total_norm_exponent)
+    return _Prepared(tuple(order), specs, c.total_norm_exponent)
 
 
 def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiply each ``(spec, const, legs)`` factor into ``vals``, lane by lane.
 
-    ``h`` holds each lane's low counter bits, which double as its slot in the
-    block; lanes whose factor is an exact zero are dropped.
+    ``h`` holds each lane's bits, which ``legs`` read by ``(shift, place)``;
+    lanes whose factor is an exact zero are dropped.
     """
     for spec, const, legs in gates:
         idx = np.full(len(h), const, dtype=np.int64)
@@ -147,41 +153,14 @@ def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.n
     return h, vals
 
 
-def _fold(const: int, legs, j: int) -> int:
-    """Entry index ``const`` with the high-bit legs read from block number ``j``."""
-    for shift, place in legs:
-        const ^= ((j >> shift) & 1) << place
-    return const
-
-
-def _block_sum(j: int, low: int, base: tuple[np.ndarray, np.ndarray],
-               high_only, mixed) -> tuple[complex, int]:
-    """Sum block ``j``: the 2^low histories whose high counter bits are ``j``."""
-    h, vals = base
-    if len(h) == 0:
-        return 0j, 0
-    scalar = 1
-    for spec, const, high_legs in high_only:
-        scalar *= spec.table[_fold(const, high_legs, j)]
-        if scalar == 0:
-            return 0j, 0
-    h, vals = _run_gates([(spec, _fold(const, high_legs, j), low_legs)
-                          for spec, const, low_legs, high_legs in mixed], h, vals * scalar)
-    products = vals
-    if len(h) < 1 << low:
-        products = np.zeros(1 << low, dtype=np.complex128)
-        products[h] = vals
-    return complex(np.sum(products)), int(np.count_nonzero(vals))
-
-
 def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
              max_wires: int | None = None, chunk_size: int | None = None,
              threads: int | None = None) -> EvalResult:
     """Sum all histories for one fully bound boundary query.
 
-    ``chunk_size`` is the number of histories per block, rounded down to a
-    power of two; ``threads`` sums blocks in a pool.  Neither changes the
-    result.
+    ``chunk_size`` bounds the lanes held at once, rounded down to a power of
+    two; ``threads`` sums runs of blocks in a pool.  Threads change no bit of
+    the result; the chunk size may change the last bits of an inexact sum.
     """
     prep = prepare(c, max_wires)
     assignment = resolve_boundary(c, boundary or BoundaryAssignment())
@@ -193,7 +172,7 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     if chunk < 1:
         raise ValueError("chunk size must be positive")
     low = min(w, chunk.bit_length() - 1)
-    fixed, high_only, mixed = [], [], []
+    low_only, high_only, mixed = [], [], []
     for spec in prep.specs:
         const = spec.const_base
         for wire, place in spec.ext_legs:
@@ -201,20 +180,51 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
         low_legs = tuple((s, p) for s, p in spec.var_legs if s < low)
         high_legs = tuple((s - low, p) for s, p in spec.var_legs if s >= low)
         if not high_legs:
-            fixed.append((spec, const, low_legs))
+            low_only.append((spec, const, low_legs))
         elif not low_legs:
             high_only.append((spec, const, high_legs))
         else:
             mixed.append((spec, const, low_legs, high_legs))
-    base = _run_gates(fixed, np.arange(1 << low, dtype=np.int64),
-                      np.ones(1 << low, dtype=np.complex128))
-    blocks = range(total >> low)
-    block = lambda j: _block_sum(j, low, base, high_only, mixed)
-    if threads and threads > 1 and len(blocks) > 1:
+
+    # low stage: sum the low patterns out onto the m low bits mixed gates read
+    reads = sorted({s for _, _, low_legs, _ in mixed for s, _ in low_legs})
+    m = len(reads)
+    h, vals = _run_gates(low_only, np.arange(1 << low, dtype=np.int64),
+                         np.ones(1 << low, dtype=np.complex128))
+    key = np.zeros(len(h), dtype=np.int64)
+    for r, s in enumerate(reads):
+        key |= ((h >> s) & 1) << r
+    counts = np.bincount(key, minlength=1 << m)
+    marg = np.empty(1 << m, dtype=np.complex128)
+    marg.real = np.bincount(key, vals.real, 1 << m)
+    marg.imag = np.bincount(key, vals.imag, 1 << m)
+    del h, vals, key
+    keys = np.flatnonzero(counts)
+    if len(keys) == 0:
+        return EvalResult(Amplitude(0j, prep.norm_exponent), prep.internal, total, 0)
+    marg = marg[keys]
+    slot = {s: r for r, s in enumerate(reads)}
+    cross = [(spec, const, tuple((slot[s], p) for s, p in low_legs)
+              + tuple((m + s, p) for s, p in high_legs))
+             for spec, const, low_legs, high_legs in mixed]
+
+    blocks = total >> low
+    per_run = max(1, (1 << low) // len(keys))
+
+    def run_sum(j0: int) -> tuple[complex, int]:
+        # high stage, then the cross stage over lanes (block << m) | key
+        j = np.arange(j0, min(j0 + per_run, blocks), dtype=np.int64)
+        j, scalars = _run_gates(high_only, j, np.ones(len(j), dtype=np.complex128))
+        lanes, vals = _run_gates(cross, ((j << m)[:, None] | keys).ravel(),
+                                 (scalars[:, None] * marg).ravel())
+        return complex(np.sum(vals)), int(counts[lanes & ((1 << m) - 1)].sum())
+
+    runs = range(0, blocks, per_run)
+    if threads and threads > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, blocks))
+            parts = list(pool.map(run_sum, runs))
     else:
-        parts = map(block, blocks)
+        parts = map(run_sum, runs)
     value = 0j
     accepted = 0
     for v, acc in parts:

@@ -133,6 +133,13 @@ def test_engine_knobs_must_be_positive(teleport, capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_max_wires_env_is_usage_error(teleport, capsys, monkeypatch, value):
+    monkeypatch.setenv("HISTQ_MAX_WIRES", value)
+    assert cli.main(["run", teleport, "--in", "0--", "--out", "000"]) == 2
+    assert "HISTQ_MAX_WIRES" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.circuit"
     p.write_text("version 1\nmode net\nwire a\ngate NOPE a\n")

@@ -1,15 +1,17 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from histq import (BUILTIN, BoundaryAssignment, MaxWiresExceeded,
+from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
                    SeqDescription, SeqLine, SeqOp, accepted_history_count,
-                   amplitude_canonical, evaluate, free_output_ends,
-                   lower_sequential, memory_probe, output_distribution,
-                   parse_circuit, phase_gate, transition_probability)
+                   amplitude_canonical, classify_wires, evaluate,
+                   free_output_ends, gate_factor, lower_sequential,
+                   memory_probe, output_distribution, parse_circuit,
+                   phase_gate, resolve_boundary, transition_probability)
 from histq import engine
 from histq.engine import resolve_max_wires
 from histq.examples import TELEPORTATION_TEXT
@@ -110,13 +112,14 @@ def test_chunking_on_phase_circuit():
 
 
 @st.composite
-def split_cases(draw):
-    """A random 2-5 line circuit, a full query and a power-of-two chunk."""
-    n = draw(st.integers(2, 5))
+def split_cases(draw, max_lines=5, max_ops=10):
+    """A random circuit on 2 to ``max_lines`` lines, a full query and a
+    power-of-two chunk."""
+    n = draw(st.integers(2, max_lines))
     names = [f"q{i}" for i in range(n)]
     pools = [POOL1, POOL2] + ([POOL3] if n >= 3 else [])
     ops = []
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, max_ops))):
         kind = draw(st.sampled_from(pools + ["phase"]))
         if kind == "phase":
             k = draw(st.integers(1, min(3, n)))
@@ -152,6 +155,53 @@ def test_split_sum_matches_dense_under_any_chunking(case):
     assert len(accepted) == 1
 
 
+def brute_force(c, q):
+    """Amplitude and accepted count from every history, one gate at a time."""
+    internal, _ = classify_wires(c)
+    fixed = resolve_boundary(c, q)
+    if fixed is None:
+        return 0j, 0
+    total, accepted = 0j, 0
+    for bits in itertools.product((0, 1), repeat=len(internal)):
+        history = dict(fixed, **dict(zip(internal, bits)))
+        prod = 1 + 0j
+        for g in c.gates:
+            prod *= gate_factor(g, history)
+            if prod == 0:
+                break
+        else:
+            accepted += 1
+        total += prod
+    return Amplitude(total, c.total_norm_exponent).resolved(), accepted
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cases(max_lines=4, max_ops=12))
+def test_three_stage_sum_matches_brute_force(case):
+    c, q, pow2 = case
+    assume(len(classify_wires(c)[0]) <= 10)
+    want, accepted = brute_force(c, q)
+    for chunk in (1, 2, 4, pow2):
+        for threads in (None, 2):
+            r = evaluate(c, q, chunk_size=chunk, threads=threads)
+            assert abs(r.value - want) <= 1e-12
+            assert r.accepted == accepted
+
+
+def test_cancelled_marginal_still_accepted():
+    # internal wires sort a1, a2, a3, z1.  At chunk 4 the low bits are a3 and
+    # z1; the H between a2 and a3 reads both halves, so a3 is kept and z1 is
+    # summed out, where H;H on line z cancels: every kept marginal is an
+    # exact 0, yet all 16 histories are accepted
+    c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\nqubit z in=0 out=1\n"
+                      "apply H a\napply H a\napply H a\napply H a\n"
+                      "apply H z\napply H z\n")
+    for chunk in (2, 4, None):
+        r = evaluate(c, BoundaryAssignment(), chunk_size=chunk)
+        assert r.amplitude.value == 0
+        assert r.histories == r.accepted == 16
+
+
 def test_block_skip_keeps_accepted_exact(monkeypatch):
     # internal wires sort a1, a2, b1; a chunk of 2 leaves only b1 in the low
     # bits, so the X between a1 and a2 reads high bits only and zeroes the
@@ -162,13 +212,20 @@ def test_block_skip_keeps_accepted_exact(monkeypatch):
     assert whole.value == 1 and whole.accepted == 4   # HXH = Z, HH = I
     calls = []
     run_gates = engine._run_gates
-    monkeypatch.setattr(engine, "_run_gates",
-                        lambda *a: calls.append(1) or run_gates(*a))
+    monkeypatch.setattr(engine, "_run_gates", lambda gates, h, vals:
+                        calls.append((len(gates), h.tolist())) or run_gates(gates, h, vals))
     for threads in (None, 2):
         calls.clear()
         r = evaluate(c, BoundaryAssignment(), chunk_size=2, threads=threads)
         assert r.value == whole.value and r.accepted == whole.accepted
-        assert len(calls) == 1 + 2   # the shared low products, then 2 of 4 blocks
+        # 2 gates read only b1 (low stage), 3 only a1/a2 (high stage) and
+        # none both (cross stage), whose lanes are block << 0 | key
+        lanes = {}
+        for n_gates, h in calls:
+            lanes.setdefault(n_gates, []).extend(h)
+        assert sorted(lanes[2]) == [0, 1]             # the low patterns, once
+        assert sorted(lanes[3]) == [0, 1, 2, 3]       # every block
+        assert sorted(lanes[0]) == [1, 2]             # only where a1 != a2
 
 
 def test_hard_wire_cap(monkeypatch):
