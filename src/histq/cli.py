@@ -12,7 +12,7 @@ import json
 import sys
 
 from .circuit import BoundaryAssignment, Circuit, classify_wires, validate
-from .engine import evaluate, output_distribution
+from .engine import evaluate, free_output_ends, output_distribution
 from .errors import (InterfaceMismatch, MaxWiresExceeded, NonSequential,
                      ParseError, UnboundWire, ValidationError)
 from .examples import EXAMPLES
@@ -96,8 +96,8 @@ def cmd_dist(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), None)
     amp = amplitude_canonical if args.engine == "canonical" else None
-    d = output_distribution(c, q, amplitude=amp, **({} if amp else _engine_opts(args)))
-    free = [w.name for w in c.output_wires if w.out_value is None]
+    d = output_distribution(c, q, amplitude=amp, **_engine_opts(args))
+    free = free_output_ends(c, q)
     if args.json:
         print(json.dumps({"ends": free, "probs": d.probs, "total": d.total}))
     else:

@@ -275,8 +275,24 @@ def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, 
     the remaining output ends are enumerated in declaration order, first
     end leftmost.  ``amplitude`` defaults to the history sum; pass a
     different callable to use another evaluation strategy.
+
+    The wire guard covers the 2^f patterns of the f free ends, and under the
+    history sum the 2^(w+f) histories they take together; the guard trips
+    before any pattern is evaluated.
     """
     free = free_output_ends(c, boundary)
+    f = len(free)
+    if f > HARD_MAX_WIRES:
+        raise MaxWiresExceeded(
+            f"{f} free output ends exceed the hard limit of {HARD_MAX_WIRES} "
+            f"(2^{f} output patterns); no setting raises it")
+    limit = resolve_max_wires(opts.get("max_wires"))
+    w = len(classify_wires(c)[0]) if amplitude is None else 0
+    if w + f > limit:
+        raise MaxWiresExceeded(
+            f"{f} free output ends" + (f" and {w} internal wires" if w else "")
+            + f" exceed the limit of {limit} (2^{w + f} histories); "
+            "raise --max-wires/HISTQ_MAX_WIRES to override")
     base_in = dict(boundary.in_bits) if boundary else {}
     base_out = dict(boundary.out_bits) if boundary else {}
     if amplitude is None:

@@ -8,8 +8,9 @@ boundary ends.  Three mechanisms cover everything here:
 * dropping a phase-family gate whose factor is 1 in every surviving history
   (a leg reads a constant 0), moving its normalization exponent onto the
   circuit so the total is unchanged;
-* replacing a parity gate that has a constant leg by a wire merge, tracked in
-  a union-find with a complement bit.
+* replacing a parity gate that has a constant leg by a wire merge: every
+  read of one wire of the pair becomes a read of the other, with a
+  complement bit.
 
 Constants are wire values that hold in every history with a nonzero product:
 boundary pins, and values forced through gates whose compatible entries all
@@ -17,13 +18,19 @@ agree.  Free boundary ends are never constant — their bits belong to the
 query.  Because a merge keeps the parity gate's constraint alive and a wire
 is only judged constant for a gate drop without that gate's own help, the
 constraint that justified a rewrite always survives it.
+
+The constant-driven passes share one driver.  A step makes one change (a
+"drop", "trim" or "merge") or returns None; the driver runs each step to
+exhaustion, in order, and repeats the round until it changes nothing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -143,7 +150,7 @@ def canonicalize(c: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# constants
+# constants and the constant-driven passes
 
 def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[str, int] | None:
     """Wire values that hold in every nonzero history; None if none survives.
@@ -196,19 +203,30 @@ def _is_phase_family(d: GateDef) -> bool:
     return bool(np.all(flat[:-1] == 1.0) and np.isclose(abs(flat[-1]), 1.0, atol=1e-12))
 
 
-def _cleanup_orphans(before: Circuit, wires: tuple[Wire, ...],
-                     gates: tuple[GateInstance, ...]) -> tuple[tuple[Wire, ...], list[str]]:
-    """Drop wires left with no attachments and nothing the query can bind.
+def _reads(g: GateInstance, known: dict[str, int]) -> list[int | None]:
+    """The constant bit each leg of ``g`` reads, None where it is not constant."""
+    return [known[w] ^ int(n) if w in known else None for w, n in zip(g.wires, g.negs)]
 
-    A wire stays if any gate still touches it, if it had a free boundary end
-    going into the pass (those are interface), or if contradictory pins make
-    it the reason every amplitude is zero.
+
+Step = tuple[Circuit, str, str, list[str]]   # new circuit, kind, detail, wires removed
+
+
+def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...],
+             wires: tuple[Wire, ...] | None = None,
+             norm_shift: int | None = None) -> Step | None:
+    """The step that replaces ``c``'s wires and gates, or None if it would
+    move a free boundary end (the removed gate was holding a wire end closed).
+
+    Wires left with no attachments and nothing the query can bind are
+    dropped.  A wire stays if any gate still touches it, if it had a free
+    boundary end going into the step (those are interface), or if
+    contradictory pins make it the reason every amplitude is zero.
     """
-    ends = before.ends
+    ends = c.ends
     attached = {w for g in gates for w in g.wires}
     keep: list[Wire] = []
-    dropped: list[str] = []
-    for w in wires:
+    orphans: list[str] = []
+    for w in c.wires if wires is None else wires:
         e = ends.get(w.name)
         free_in = e is not None and e.in_boundary and w.in_value is None
         free_out = e is not None and e.out_boundary and w.out_value is None
@@ -217,46 +235,110 @@ def _cleanup_orphans(before: Circuit, wires: tuple[Wire, ...],
         if w.name in attached or free_in or free_out or contradictory or e is None:
             keep.append(w)
         else:
-            dropped.append(w.name)
-    return tuple(keep), dropped
+            orphans.append(w.name)
+    nc = c.replace(wires=tuple(keep), gates=gates, norm_shift=norm_shift)
+    if interface(nc) != interface(c):
+        return None
+    return nc, kind, detail, orphans
 
 
-# ---------------------------------------------------------------------------
-# drop_dead_controlled_gates
-
-def _drop_dead_step(c: Circuit) -> tuple[Circuit, str, list[str]] | None:
+def _drop_dead_step(c: Circuit) -> Step | None:
     """One interface-preserving drop or trim, or None when none applies."""
     known = compute_constants(c)
     if known is None:
         return None
-    want = interface(c)
     for gi, g in enumerate(c.gates):
         d = g.gate
         if not _is_phase_family(d) or d.n_legs == 0:
             continue
-        reads = [known[w] ^ int(n) if w in known else None
-                 for w, n in zip(g.wires, g.negs)]
-        if any(r == 0 for r in reads):
-            gates = c.gates[:gi] + c.gates[gi + 1:]
-            action = "drop"
-        elif any(r == 1 for r in reads):
+        reads = _reads(g, known)
+        if 0 in reads:
+            step = _rebuild(c, "drop", "", c.gates[:gi] + c.gates[gi + 1:],
+                            norm_shift=c.norm_shift + d.norm_exponent)
+        elif 1 in reads:
             keep = [li for li, r in enumerate(reads) if r is None]
             corner = complex(d.entries.reshape(-1)[-1])
             nd = phase_gate(d.param if d.param is not None else 0.0,
                             len(keep), d.norm_exponent, value=corner)
             trimmed_gate = GateInstance(nd, tuple(g.wires[li] for li in keep),
                                         tuple(g.negs[li] for li in keep))
-            gates = c.gates[:gi] + (trimmed_gate,) + c.gates[gi + 1:]
-            action = "trim"
+            step = _rebuild(c, "trim", "", c.gates[:gi] + (trimmed_gate,) + c.gates[gi + 1:])
         else:
             continue
-        wires, orphans = _cleanup_orphans(c, c.wires, gates)
-        shift = c.norm_shift + (d.norm_exponent if action == "drop" else 0)
-        nc = c.replace(wires=wires, gates=gates, norm_shift=shift)
-        if interface(nc) != want:
-            continue      # the gate was holding a wire end closed; leave it
-        return nc, action, orphans
+        if step is not None:
+            return step
     return None
+
+
+def _rename(g: GateInstance, loser: str | None, survivor: str, parity: int) -> GateInstance:
+    """``g`` reading ``survivor`` (complemented when ``parity``) wherever it
+    read ``loser``; ``g`` itself when it never read ``loser``."""
+    if loser not in g.wires:
+        return g
+    return GateInstance(g.gate, tuple(survivor if w == loser else w for w in g.wires),
+                        tuple(bool(n ^ (parity if w == loser else 0))
+                              for w, n in zip(g.wires, g.negs)))
+
+
+def _short_xor_step(c: Circuit) -> Step | None:
+    """One interface-preserving parity-gate short, or None."""
+    _, external = classify_wires(c)
+    ext = set(external)
+    order = {w.name: i for i, w in enumerate(c.wires)}
+    for gi, g in enumerate(c.gates):
+        if g.gate.structural_key() != _XOR.structural_key():
+            continue
+        known = compute_constants(c, skip=frozenset([gi]))
+        if known is None:
+            continue
+        for li, v in enumerate(_reads(g, known)):
+            if v is None:
+                continue
+            (u, nu), (t, nt) = [(g.wires[j], g.negs[j]) for j in range(3) if j != li]
+            parity = int(nu) ^ int(nt) ^ v
+            if u == t:
+                if parity == 1:
+                    continue    # forces w != w: nothing survives anyway
+                loser, detail = None, f"{g.wires[li]}={v}"
+            elif u in ext and t in ext:
+                continue        # two distinct query ends cannot be one wire
+            else:
+                # the surviving name: an external wire always wins, then declaration order
+                if (t in ext, -order[t]) > (u in ext, -order[u]):
+                    u, t = t, u
+                loser, detail = t, f"{t}->{u}~{parity}"
+            gates = tuple(_rename(og, loser, u, parity)
+                          for gj, og in enumerate(c.gates) if gj != gi)
+            wires = tuple(w for w in c.wires if w.name != loser)
+            if (step := _rebuild(c, "merge", detail, gates, wires)) is not None:
+                return step
+    return None
+
+
+def _fixpoint(c: Circuit, steps) -> tuple[Circuit, int, list[tuple[str, str]], list[str]]:
+    """Run ``steps`` to exhaustion, in order, until a round changes nothing (one
+    step: one round).  Returns the circuit, rounds, (kind, detail)s, wires removed."""
+    changes: list[tuple[str, str]] = []
+    orphans: list[str] = []
+    for rounds in count(1):
+        before = len(changes)
+        for step in steps:
+            while (r := step(c)) is not None:
+                c, kind, detail, gone = r
+                changes.append((kind, detail))
+                orphans += gone
+        if len(changes) == before or len(steps) == 1:
+            return c, rounds, changes, orphans
+
+
+def _report(name: str, changed: bool, orphans: list[str] | tuple = (), **details) -> PassReport:
+    """The details go in only when the pass changed something."""
+    report = PassReport(name, changed)
+    if changed:
+        report.details.update(details)
+        if orphans:
+            report.details["removed_wires"] = ",".join(orphans)
+    return report
 
 
 def drop_dead_controlled_gates(c: Circuit) -> tuple[Circuit, PassReport]:
@@ -269,106 +351,10 @@ def drop_dead_controlled_gates(c: Circuit) -> tuple[Circuit, PassReport]:
     they never force a constant — removing one cannot invalidate another.
     Steps that would open a new boundary end are skipped.
     """
-    report = PassReport("drop-dead")
-    dropped = trimmed = 0
-    orphans: list[str] = []
-    while (step := _drop_dead_step(c)) is not None:
-        c, action, gone = step
-        dropped += action == "drop"
-        trimmed += action == "trim"
-        orphans += gone
-    if dropped or trimmed:
-        report.changed = True
-        report.details.update(dropped_gates=dropped, trimmed_legs=trimmed)
-        if orphans:
-            report.details["removed_wires"] = ",".join(orphans)
-    return c, report
-
-
-# ---------------------------------------------------------------------------
-# short_xor_constant
-
-class WireMerge:
-    """Union-find over wires where each link carries a complement bit."""
-
-    def __init__(self, c: Circuit):
-        _, external = classify_wires(c)
-        self._ext = set(external)
-        self._order = {w.name: i for i, w in enumerate(c.wires)}
-        self._parent: dict[str, tuple[str, int]] = {}
-
-    def find(self, name: str) -> tuple[str, int]:
-        link = self._parent.get(name)
-        if link is None:
-            return name, 0
-        root, p = self.find(link[0])
-        self._parent[name] = (root, link[1] ^ p)
-        return root, link[1] ^ p
-
-    def union(self, a: str, b: str, parity: int) -> bool:
-        """Record value(a) = value(b) ^ parity; False if that is contradictory."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == parity
-        # the surviving name: an external wire always wins, then declaration order
-        if (rb in self._ext, -self._order[rb]) > (ra in self._ext, -self._order[ra]):
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        self._parent[rb] = (ra, pa ^ pb ^ parity)
-        return True
-
-    def resolve(self, name: str, neg: bool) -> tuple[str, bool]:
-        root, p = self.find(name)
-        return root, bool(int(neg) ^ p)
-
-
-def _short_xor_step(c: Circuit) -> tuple[Circuit, str, list[str]] | None:
-    """One interface-preserving parity-gate short, or None."""
-    _, external = classify_wires(c)
-    ext = set(external)
-    want = interface(c)
-    for gi, g in enumerate(c.gates):
-        if g.gate.structural_key() != _XOR.structural_key():
-            continue
-        known = compute_constants(c, skip=frozenset([gi]))
-        if known is None:
-            continue
-        reads = [known[w] ^ int(n) if w in known else None
-                 for w, n in zip(g.wires, g.negs)]
-        for li in range(3):
-            v = reads[li]
-            if v is None:
-                continue
-            (u, nu), (t, nt) = [(g.wires[j], g.negs[j]) for j in range(3) if j != li]
-            if u in ext and t in ext and u != t:
-                continue        # two distinct query ends cannot be one wire
-            parity = int(nu) ^ int(nt) ^ v
-            uf = WireMerge(c)
-            if u == t:
-                if parity == 1:
-                    continue    # forces w != w: nothing survives anyway
-            elif not uf.union(u, t, parity):
-                continue
-            gates = []
-            for gj, og in enumerate(c.gates):
-                if gj == gi:
-                    continue
-                pairs = [uf.resolve(w, n) for w, n in zip(og.wires, og.negs)]
-                gates.append(GateInstance(og.gate, tuple(p[0] for p in pairs),
-                                          tuple(p[1] for p in pairs)))
-            wires = tuple(w for w in c.wires if uf.find(w.name)[0] == w.name)
-            wires, orphans = _cleanup_orphans(c, wires, tuple(gates))
-            nc = c.replace(wires=wires, gates=tuple(gates))
-            if interface(nc) != want:
-                continue
-            if u != t:
-                root = uf.find(u)[0]
-                detail = f"{t if root == u else u}->{root}~{parity}"
-            else:
-                detail = f"{g.wires[li]}={v}"
-            return nc, detail, orphans
-    return None
+    c, _, changes, orphans = _fixpoint(c, [_drop_dead_step])
+    kinds = Counter(kind for kind, _ in changes)
+    return c, _report("drop-dead", bool(changes), orphans, dropped_gates=kinds["drop"],
+                      trimmed_legs=kinds["trim"])
 
 
 def short_xor_constant(c: Circuit) -> tuple[Circuit, PassReport]:
@@ -377,56 +363,30 @@ def short_xor_constant(c: Circuit) -> tuple[Circuit, PassReport]:
     If a leg of the three-wire parity gate reads a constant v — provable
     without the gate's own help — the gate reduces to "the other two reads
     are equal" (v=0) or "complementary" (v=1).  That is a wire identification
-    with a complement bit, which the merge records exactly, so the gate can
-    go.  Merging two free boundary wires would collapse distinct query ends,
-    and a short may not open a new boundary end; such candidates are skipped.
-    When one wire of the merged pair is external it keeps its name.
+    with a complement bit: every read of the losing wire becomes a read of
+    the survivor, complemented where the two differ, so the gate can go.  Merging two
+    free boundary wires would collapse distinct query ends, and a short may
+    not open a new boundary end; such candidates are skipped.  When one wire
+    of the merged pair is external it keeps its name.
     """
-    report = PassReport("short-xor")
-    merges: list[str] = []
-    orphans: list[str] = []
-    while (step := _short_xor_step(c)) is not None:
-        c, detail, gone = step
-        merges.append(detail)
-        orphans += gone
-    if merges:
-        report.changed = True
-        report.details["merged"] = ";".join(merges)
-        if orphans:
-            report.details["removed_wires"] = ",".join(orphans)
-    return c, report
+    c, _, changes, orphans = _fixpoint(c, [_short_xor_step])
+    return c, _report("short-xor", bool(changes), orphans,
+                      merged=";".join(detail for _, detail in changes))
 
-
-# ---------------------------------------------------------------------------
-# fixpoint driver
 
 def propagate_constants(c: Circuit) -> tuple[Circuit, PassReport]:
     """Alternate the constant-driven passes until nothing changes."""
-    report = PassReport("propagate")
-    iterations = dropped = trimmed = merges = 0
-    while True:
-        iterations += 1
-        c1, r1 = drop_dead_controlled_gates(c)
-        c2, r2 = short_xor_constant(c1)
-        dropped += int(r1.details.get("dropped_gates", 0))
-        trimmed += int(r1.details.get("trimmed_legs", 0))
-        merges += len(r2.details.get("merged", "").split(";")) if r2.changed else 0
-        if not (r1.changed or r2.changed):
-            break
-        c = c2
-    report.changed = (dropped + trimmed + merges) > 0
-    report.details.update(iterations=iterations, dropped_gates=dropped,
-                          trimmed_legs=trimmed, merged_wires=merges)
-    return c, report
+    c, rounds, changes, _ = _fixpoint(c, [_drop_dead_step, _short_xor_step])
+    kinds = Counter(kind for kind, _ in changes)
+    return c, PassReport("propagate", bool(changes), dict(
+        iterations=rounds, dropped_gates=kinds["drop"], trimmed_legs=kinds["trim"],
+        merged_wires=kinds["merge"]))
 
 
 def _canonicalize_pass(c: Circuit) -> tuple[Circuit, PassReport]:
     out = canonicalize(c)
-    r = PassReport("canonicalize", changed=out is not c)
-    if r.changed:
-        r.details["gates"] = len(out.gates)
-        r.details["wires"] = len(out.wires)
-    return out, r
+    return out, _report("canonicalize", out is not c, gates=len(out.gates),
+                        wires=len(out.wires))
 
 
 PASSES = {

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import histq
 from histq import cli
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 
@@ -77,6 +82,33 @@ def test_dist_json(teleport, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["ends"] == ["x1", "b2", "c3"]
     assert abs(sum(got["probs"].values()) - 1.0) < 1e-9
+
+
+def test_dist_guard_exit_code(teleport, capsys):
+    # 3 internal wires and 3 free ends: 2^6 histories in all
+    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "5"]) == 4
+    assert "3 free output ends and 3 internal wires" in capsys.readouterr().err
+    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "6"]) == 0
+    # the dense engine pays for the 2^3 patterns only
+    assert cli.main(["dist", teleport, "--in", "0--", "--engine", "canonical",
+                     "--max-wires", "2"]) == 4
+    capsys.readouterr()
+    assert cli.main(["dist", teleport, "--in", "0--", "--engine", "canonical",
+                     "--max-wires", "3"]) == 0
+
+
+def test_dist_on_64_free_ends_exits_promptly(tmp_path):
+    # 2^64 output patterns: the guard must refuse before enumerating any
+    p = tmp_path / "wide.circuit"
+    p.write_text("version 1\nmode net\n"
+                 + "".join(f"wire q{i} in=0 out\n" for i in range(64)))
+    src = str(Path(histq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "histq.cli", "dist", str(p), "--max-wires", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert "64 free output ends" in proc.stderr
 
 
 def test_compare_agrees(teleport, capsys):

@@ -290,6 +290,44 @@ def test_output_distribution_dense_engine():
     assert abs(d.total - 1.0) < 1e-12
 
 
+def wide_outputs(n):
+    """n wires pinned 0 at the input and free at the output, no gates."""
+    return parse_circuit("version 1\nmode net\n"
+                         + "".join(f"wire q{i} in=0 out\n" for i in range(n)))
+
+
+def test_dist_wire_guard(monkeypatch):
+    c = parse_circuit(TELEPORTATION_TEXT)
+    q = BoundaryAssignment({"x0": 0}, {})
+    w, f = len(classify_wires(c)[0]), len(free_output_ends(c, q))
+    assert (w, f) == (3, 3)
+    # one query fits the guard, but all 2^f of them together do not
+    assert evaluate(c, BoundaryAssignment({"x0": 0}, {"x1": 0, "b2": 0, "c3": 0}),
+                    max_wires=w).histories == 2 ** w
+    with pytest.raises(MaxWiresExceeded) as ei:
+        output_distribution(c, q, max_wires=w + f - 1)
+    assert "3 free output ends and 3 internal wires" in str(ei.value)
+    assert len(output_distribution(c, q, max_wires=w + f).probs) == 2 ** f
+    # another amplitude callable pays only for the patterns
+    monkeypatch.setenv("HISTQ_MAX_WIRES", str(f))
+    assert output_distribution(c, q, amplitude=amplitude_canonical).unit_total()
+    monkeypatch.setenv("HISTQ_MAX_WIRES", str(f - 1))
+    with pytest.raises(MaxWiresExceeded):
+        output_distribution(c, q, amplitude=amplitude_canonical)
+
+
+def test_dist_hard_cap_trips_before_any_pattern():
+    def never(c, b):
+        raise AssertionError("a pattern was evaluated")
+
+    assert len(output_distribution(wide_outputs(12), max_wires=12).probs) == 2 ** 12
+    with pytest.raises(MaxWiresExceeded):
+        output_distribution(wide_outputs(13), max_wires=12, amplitude=never)
+    with pytest.raises(MaxWiresExceeded) as ei:
+        output_distribution(wide_outputs(64), max_wires=1000, amplitude=never)
+    assert "64 free output ends" in str(ei.value) and "hard limit of 62" in str(ei.value)
+
+
 def test_memory_probe_reports_peak():
     with memory_probe() as probe:
         junk = np.ones(1 << 16)

@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from histq import (BUILTIN, Circuit, GateInstance, InterfaceMismatch, Wire,
+from histq import (BUILTIN, PASSES, Circuit, GateInstance, InterfaceMismatch, Wire,
                    apply_passes, canonicalize, classify_wires,
                    compute_constants, drop_dead_controlled_gates, equivalent,
                    interface, parse_circuit, phase_gate, propagate_constants,
@@ -190,6 +191,18 @@ def test_short_xor_skips_interface_growth():
     assert interface(out) == before
 
 
+def test_short_xor_on_a_repeated_wire_drops_the_gate():
+    # the constant leg leaves "m == m": nothing to merge, the gate just goes
+    c = net("wire s in\nwire m\nwire t out\nwire a in=0\n"
+            "gate H s m\ngate XOR3 a m m\ngate H m t\n")
+    out, rep = short_xor_constant(c)
+    assert rep.details == {"merged": "a=0", "removed_wires": "a"}
+    assert [g.gate.name for g in out.gates] == ["H", "H"]
+    assert out.gates[0] is c.gates[0] and out.gates[1] is c.gates[2]   # shared, not rebuilt
+    ok, dev = equivalent(c, out)
+    assert ok and dev == 0.0
+
+
 def test_propagate_reaches_teleportation_fixed_point():
     c = parse_circuit(TELEPORTATION_TEXT)
     cc = canonicalize(c)
@@ -237,6 +250,32 @@ def test_every_pass_preserves_amplitudes():
             out, _ = apply_passes(c, [name])
             ok, dev = equivalent(c, out, rng=random.Random(5))
             assert ok, (name, dev)
+
+
+def complemented(c, rng):
+    """``c`` with about 30% of its gate legs reading their wire complemented."""
+    return c.replace(gates=[GateInstance(g.gate, g.wires,
+                                         tuple(rng.random() < 0.3 for _ in g.wires))
+                            for g in c.gates])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_passes_on_complemented_reads(seed, canonical):
+    rng = random.Random(seed)
+    c = random_circuit(rng, g_max=10)
+    c = complemented(canonicalize(c) if canonical else c, rng)
+    for name in PASSES:
+        out, _ = apply_passes(c, [name])
+        ok, dev = equivalent(c, out, rng=random.Random(5))
+        assert ok, (name, dev)
+        text = emit_circuit(out)
+        assert emit_circuit(parse_circuit(text)) == text
+        if name != "canonicalize":
+            # the constant passes stop at a fixed point
+            again, (rep,) = apply_passes(out, [name])
+            assert not rep.changed, (name, rep.lines())
+            assert again.structural_key() == out.structural_key()
 
 
 def test_equivalent_is_positional():
