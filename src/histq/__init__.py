@@ -12,7 +12,7 @@ from .errors import (CircuitError, InterfaceMismatch, MaxWiresExceeded,
                      NonSequential, ParseError, UnboundWire, ValidationError)
 from .gates import (BUILTIN, GateClass, GateDef, Role, check_unitary,
                     classify_gate, matrix_gate, phase_gate, phase_value,
-                    unitary_from_hermitian, xor_gate)
+                    xor_gate)
 from .parser import emit_circuit, parse_circuit
 from .rewrite import (DEFAULT_PASSES, PASSES, PassReport, apply_passes,
                       canonicalize, compute_constants,
@@ -32,8 +32,7 @@ __all__ = [
     "CircuitError", "InterfaceMismatch", "MaxWiresExceeded", "NonSequential",
     "ParseError", "UnboundWire", "ValidationError",
     "BUILTIN", "GateClass", "GateDef", "Role", "check_unitary",
-    "classify_gate", "matrix_gate", "phase_gate", "phase_value",
-    "unitary_from_hermitian", "xor_gate",
+    "classify_gate", "matrix_gate", "phase_gate", "phase_value", "xor_gate",
     "emit_circuit", "parse_circuit",
     "DEFAULT_PASSES", "PASSES", "PassReport", "apply_passes", "canonicalize",
     "compute_constants", "drop_dead_controlled_gates", "equivalent",

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 the two engines disagree under ``compare``,
 2 parse/validation/usage problems, 3 the circuit has no gate schedule where
-one is required, 4 the internal-wire guard tripped.
+one is required, 4 the internal-wire guard tripped or memory ran out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from functools import partial
 
 from .circuit import BoundaryAssignment, Circuit, classify_wires, validate
 from .engine import evaluate, free_output_ends, output_distribution
@@ -21,6 +23,7 @@ from .rewrite import DEFAULT_PASSES, apply_passes
 from .statevector import amplitude_canonical
 
 COMPARE_TOL = 1e-10
+_BITS = re.compile(r"[01-]+")
 
 
 def _load(path: str) -> Circuit:
@@ -75,7 +78,7 @@ def cmd_run(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), args.out)
     if args.engine == "canonical":
-        a = amplitude_canonical(c, q)
+        a = amplitude_canonical(c, q, max_wires=args.max_wires)
         report = {"engine": "canonical",
                   "amplitude_re": a.real, "amplitude_im": a.imag,
                   "probability": abs(a) ** 2}
@@ -95,7 +98,8 @@ def cmd_run(args) -> int:
 def cmd_dist(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), None)
-    amp = amplitude_canonical if args.engine == "canonical" else None
+    amp = (partial(amplitude_canonical, max_wires=args.max_wires)
+           if args.engine == "canonical" else None)
     d = output_distribution(c, q, amplitude=amp, **_engine_opts(args))
     free = free_output_ends(c, q)
     if args.json:
@@ -112,7 +116,7 @@ def cmd_compare(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), args.out)
     soh = evaluate(c, q, **_engine_opts(args)).value
-    canonical = amplitude_canonical(c, q)
+    canonical = amplitude_canonical(c, q, max_wires=args.max_wires)
     delta = abs(soh - canonical)
     _emit_report(args, {
         "soh_re": soh.real, "soh_im": soh.imag,
@@ -235,8 +239,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _take_bits(argv: list[str]) -> tuple[list[str], dict[str, str]]:
+    """Take each ``--in BITS``/``--out BITS`` out of ``argv``: argparse would
+    read bits that start with ``-`` as an option, and drop a bare ``--``."""
+    rest, bits = [], {}
+    for arg in argv:
+        if rest and rest[-1] in ("--in", "--out") and _BITS.fullmatch(arg):
+            bits[rest.pop()[2:]] = arg
+        else:
+            rest.append(arg)
+    return rest, bits
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    rest, bits = _take_bits(sys.argv[1:] if argv is None else argv)
+    args = ap.parse_args(rest)
+    for name, value in bits.items():
+        if not hasattr(args, name):
+            ap.error(f"unrecognized arguments: --{name} {value}")
+        setattr(args, name, value)
     try:
         return args.fn(args)
     except (ParseError, ValidationError, UnboundWire, InterfaceMismatch) as e:
@@ -251,6 +273,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

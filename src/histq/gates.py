@@ -11,6 +11,13 @@ Leg order conventions:
   * custom ``matrix`` gates from circuit files: (outputs..., inputs...)
   * PHASE gates: all legs symmetric, order irrelevant.
 The tensor index for legs (l0, l1, ..) uses l0 as the most significant bit.
+
+``GateDef.blocks()`` is the one row/column view of a directed gate: the
+entries transposed to (controls..., outputs..., inputs...) and reshaped to
+one matrix per control setting, rows = output bits, columns = input bits.
+``matrix()`` is its last block (every control 1), ``check_unitary`` and the
+phase test of ``classify_gate`` loop over it, and ``matrix_gate`` builds the
+entries by the inverse transpose.
 """
 
 from __future__ import annotations
@@ -93,39 +100,27 @@ class GateDef:
                 slots.append(("sym", i))
         return slots
 
+    def blocks(self) -> np.ndarray:
+        """The entries as one matrix per setting of the other legs, shape
+        (2^others, 2^outputs, 2^inputs): rows = output-leg bits, columns =
+        input-leg bits.  The other legs (controls, and symmetric legs of a
+        mixed gate) index the blocks in leg order, so the last block has
+        them all at 1."""
+        outs = self.leg_indices(Role.OUT)
+        ins = self.leg_indices(Role.IN)
+        rest = tuple(i for i, r in enumerate(self.legs) if r not in (Role.IN, Role.OUT))
+        return np.transpose(self.entries, rest + outs + ins).reshape(
+            -1, 2 ** len(outs), 2 ** len(ins))
+
     def matrix(self) -> np.ndarray:
         """Listed entries as a matrix, rows = output-leg bits, columns = input-leg
         bits (controls fixed to 1 on both sides)."""
-        ctrls = self.leg_indices(Role.CTRL)
-        ins = self.leg_indices(Role.IN)
-        outs = self.leg_indices(Role.OUT)
-        if len(ins) != len(outs):
-            raise ValueError(f"gate {self.name} has {len(ins)} inputs but {len(outs)} outputs")
-        t = self.entries
-        for c in ctrls:
-            t = np.take(t, 1, axis=c - sum(1 for x in ctrls if x < c))
-        # after dropping control axes, remaining axes follow the original leg
-        # order with controls removed; move outputs in front of inputs
-        remaining = [i for i in range(self.n_legs) if i not in ctrls]
-        order = [remaining.index(i) for i in outs] + [remaining.index(i) for i in ins]
-        t = np.transpose(t, order)
-        d = 2 ** len(outs)
-        return t.reshape(d, d)
-
-    def resolved_matrix(self) -> np.ndarray:
-        """True unitary acting on the target legs (controls all 1)."""
-        return self.matrix() * 2.0 ** (-self.norm_exponent / 2.0)
-
-    def transposed(self) -> "GateDef":
-        """Swap input and output roles; entries and leg positions are untouched.
-
-        Reversing a directed gate against the flow of its wires is a pure
-        relabeling of leg roles.
-        """
-        swap = {Role.IN: Role.OUT, Role.OUT: Role.IN}
-        legs = tuple(swap.get(r, r) for r in self.legs)
-        return GateDef(self.name + "^t" if not self.name.endswith("^t") else self.name[:-2],
-                       legs, self.entries, self.norm_exponent, self.param)
+        if Role.SYM in self.legs:
+            raise ValueError(f"gate {self.name} has symmetric legs, so no rows or columns")
+        n_in, n_out = len(self.leg_indices(Role.IN)), len(self.leg_indices(Role.OUT))
+        if n_in != n_out:
+            raise ValueError(f"gate {self.name} has {n_in} inputs but {n_out} outputs")
+        return self.blocks()[-1]
 
     def structural_key(self):
         return (self.name, self.legs, self.norm_exponent, self.param, self.entries.tobytes())
@@ -149,14 +144,11 @@ def classify_gate(g: GateDef) -> GateClass:
 
 
 def _diagonal_all_blocks(g: GateDef) -> bool:
-    ins = g.leg_indices(Role.IN)
-    outs = g.leg_indices(Role.OUT)
-    for idx in np.ndindex(g.entries.shape):
-        row = tuple(idx[i] for i in outs)
-        col = tuple(idx[i] for i in ins)
-        if row != col and g.entries[idx] != 0:
-            return False
-    return True
+    """No nonzero entry off the diagonal of any block; an unbalanced gate's
+    blocks have no diagonal."""
+    b = g.blocks()
+    diag = np.diagonal(b, axis1=1, axis2=2) if b.shape[1] == b.shape[2] else ()
+    return np.count_nonzero(b) == np.count_nonzero(diag)
 
 
 def check_unitary(g: GateDef, tol: float = 1e-10) -> float:
@@ -164,31 +156,14 @@ def check_unitary(g: GateDef, tol: float = 1e-10) -> float:
     resolved matrix.  Symmetric gates are skipped (no row/column split)."""
     if not g.is_matrix_style:
         return 0.0
-    ctrls = g.leg_indices(Role.CTRL)
-    ins = g.leg_indices(Role.IN)
-    outs = g.leg_indices(Role.OUT)
-    if len(ins) != len(outs):
+    if len(g.leg_indices(Role.IN)) != len(g.leg_indices(Role.OUT)):
         raise ValueError(f"gate {g.name}: unbalanced input/output legs")
-    d = 2 ** len(ins)
     scale = 2.0 ** (-g.norm_exponent / 2.0)
     worst = 0.0
-    for cbits in np.ndindex((2,) * len(ctrls)):
-        m = np.zeros((d, d), dtype=complex)
-        for idx in np.ndindex(g.entries.shape):
-            if tuple(idx[c] for c in ctrls) != cbits:
-                continue
-            row = _pack(tuple(idx[i] for i in outs))
-            col = _pack(tuple(idx[i] for i in ins))
-            m[row, col] = g.entries[idx] * scale
-        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - np.eye(d)))))
+    for m in g.blocks():
+        m = m * scale
+        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - np.eye(len(m))))))
     return worst
-
-
-def _pack(bits) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +188,13 @@ def matrix_gate(name: str, listed: np.ndarray, n_ctrl: int = 0,
         legs = (Role.OUT,) * t + (Role.IN,) * t
     else:
         legs = (Role.CTRL,) * n_ctrl + (Role.IN,) * t + (Role.OUT,) * t
-    shape = (2,) * len(legs)
-    ent = np.zeros(shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        if custom_leg_order:
-            row = _pack(idx[:t])
-            col = _pack(idx[t:])
-            active = True
-        else:
-            cbits = idx[:n_ctrl]
-            col = _pack(idx[n_ctrl:n_ctrl + t])
-            row = _pack(idx[n_ctrl + t:])
-            active = all(b == 1 for b in cbits)
-        ent[idx] = listed[row, col] if active else (1.0 if row == col else 0.0)
+    blocks = np.zeros((2 ** n_ctrl, d, d), dtype=complex)
+    blocks[:] = np.eye(d)
+    blocks[-1] = listed
+    # inverse of GateDef.blocks(): write the blocks through the transposed view
+    ent = np.empty((2,) * len(legs), dtype=complex)
+    order = [i for r in (Role.CTRL, Role.OUT, Role.IN) for i, l in enumerate(legs) if l is r]
+    ent.transpose(order)[...] = blocks.reshape(ent.shape)
     return GateDef(name, legs, ent, norm_exponent)
 
 
@@ -261,28 +230,6 @@ def xor_gate() -> GateDef:
     for idx in np.ndindex((2, 2, 2)):
         ent[idx] = 1.0 if sum(idx) % 2 == 0 else 0.0
     return GateDef("XOR3", (Role.SYM,) * 3, ent)
-
-
-def unitary_from_hermitian(h: np.ndarray, theta: float) -> np.ndarray:
-    """U = exp(-i*theta*H) for a Hermitian H on up to 4 qubits.
-
-    theta = 0 returns the identity exactly.  This is the continuous-evolution
-    step from which discrete gates arise; it is exposed so custom gates can be
-    generated from generators instead of hand-typed matrices.
-    """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    if h.ndim != 2 or h.shape != (d, d) or d & (d - 1) or not 1 <= d <= 16:
-        raise ValueError("H must be a 2^k x 2^k matrix with k <= 4")
-    if np.max(np.abs(h - h.conj().T)) > 1e-12:
-        raise ValueError("H is not Hermitian within 1e-12")
-    if theta == 0.0:
-        return np.eye(d, dtype=complex)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    if np.max(np.abs(u @ u.conj().T - np.eye(d))) > 1e-10:
-        raise ValueError("result failed the unitarity check")
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ constraint that justified a rewrite always survives it.
 
 The constant-driven passes share one driver.  A step makes one change (a
 "drop", "trim" or "merge") or returns None; the driver runs each step to
-exhaustion, in order, and repeats the round until it changes nothing.
+exhaustion, in order, and repeats the round until no step after the first
+changes anything.
 """
 
 from __future__ import annotations
@@ -316,18 +317,21 @@ def _short_xor_step(c: Circuit) -> Step | None:
 
 
 def _fixpoint(c: Circuit, steps) -> tuple[Circuit, int, list[tuple[str, str]], list[str]]:
-    """Run ``steps`` to exhaustion, in order, until a round changes nothing (one
-    step: one round).  Returns the circuit, rounds, (kind, detail)s, wires removed."""
+    """Run ``steps`` to exhaustion, in order, until a round in which no step
+    after the first changed anything: the first step is then still exhausted
+    (one step: one round).  Returns the circuit, rounds, (kind, detail)s, wires
+    removed."""
     changes: list[tuple[str, str]] = []
     orphans: list[str] = []
     for rounds in count(1):
-        before = len(changes)
-        for step in steps:
+        later = 0
+        for i, step in enumerate(steps):
             while (r := step(c)) is not None:
                 c, kind, detail, gone = r
                 changes.append((kind, detail))
                 orphans += gone
-        if len(changes) == before or len(steps) == 1:
+                later += i > 0
+        if not later:
             return c, rounds, changes, orphans
 
 

@@ -7,93 +7,39 @@ gate all of whose legs are taps, with unit-modulus entries), and the
 producer/consumer graph is acyclic.  Everything else — feedback loops, shared
 reads, symmetric gates that claim wire ends — raises NonSequential.
 
-Evaluation applies gates to a (2,)*n amplitude tensor, one axis per live
-qubit, and reads the requested output component at the end.  Listed entries
-are used throughout; the accumulated normalization exponent is applied once.
+Evaluation holds a (2,)*n amplitude tensor, one axis per qubit, and
+contracts it with each scheduled gate's entry tensor in one ``np.einsum``.
+The state's axes carry the labels 0..n-1.  A control, input or tap leg takes
+the label of its wire's axis; an output leg takes the fresh label n + leg,
+which replaces its paired input's label in the output, so the qubit keeps its
+axis.  A tap gate that reads one wire twice repeats the label, and einsum
+takes the diagonal.  A complemented read is the entry tensor flipped along
+that leg's axis.  Listed entries are used throughout; the accumulated
+normalization exponent is applied once, after the requested output component
+is read.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .circuit import BoundaryAssignment, Circuit, resolve_boundary
-from .errors import NonSequential
-from .gates import GateDef, Role
+from .engine import HARD_MAX_WIRES, resolve_max_wires
+from .errors import MaxWiresExceeded, NonSequential
+from .gates import Role
 
-
-@dataclass(frozen=True)
-class SeqStep:
-    gate_index: int
-    kind: str                # "unitary" | "diag"
-    positions: tuple[int, ...]
-    table: np.ndarray        # 2^m x 2^m matrix, or (2,)*u diagonal tensor
+HARD_MAX_QUBITS = HARD_MAX_WIRES - 4  # 2^n amplitudes of 16 bytes fit a signed 64-bit byte count
 
 
 @dataclass(frozen=True)
 class SeqPlan:
     n_qubits: int
     order: tuple[int, ...]           # gate indices in schedule order
-    steps: tuple[SeqStep, ...]
+    steps: tuple[tuple[np.ndarray, list[int], list[int]], ...]  # (tensor, leg labels, output labels)
     out_axes: dict[str, int]         # boundary-out wire -> tensor axis
-
-
-def _blocked_matrix(d: GateDef) -> np.ndarray:
-    """Matrix over (controls..., paired targets...) with controls preserved."""
-    ctrl = d.leg_indices(Role.CTRL)
-    outs = d.leg_indices(Role.OUT)
-    ins = d.leg_indices(Role.IN)
-    nc, t = len(ctrl), len(outs)
-    ten = np.transpose(d.entries, ctrl + outs + ins).reshape(2 ** nc, 2 ** t, 2 ** t)
-    m = np.zeros((2 ** (nc + t), 2 ** (nc + t)), dtype=np.complex128)
-    step = 2 ** t
-    for cb in range(2 ** nc):
-        m[cb * step:(cb + 1) * step, cb * step:(cb + 1) * step] = ten[cb]
-    return m
-
-
-def _diag_tensor(d: GateDef, positions: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Reduce a tap gate's entry tensor over repeated positions."""
-    uniq: list[int] = []
-    slot = []
-    for p in positions:
-        if p not in uniq:
-            uniq.append(p)
-        slot.append(uniq.index(p))
-    if len(uniq) == len(positions):
-        return tuple(uniq), d.entries
-    red = np.empty((2,) * len(uniq), dtype=np.complex128)
-    for bits in product((0, 1), repeat=len(uniq)):
-        red[bits] = d.entries[tuple(bits[s] for s in slot)]
-    return tuple(uniq), red
-
-
-def _flip_matrix(m: np.ndarray, d: GateDef, negs: tuple[bool, ...]) -> np.ndarray:
-    """Complemented reads flip bits of the blocked-matrix index.
-
-    A control read through ``~`` flips its bit on both sides; a complemented
-    input flips the column bit, a complemented output the row bit.
-    """
-    ctrl = d.leg_indices(Role.CTRL)
-    ins = d.leg_indices(Role.IN)
-    outs = d.leg_indices(Role.OUT)
-    nc, t = len(ctrl), len(ins)
-    rmask = cmask = 0
-    for j, li in enumerate(ctrl):
-        if negs[li]:
-            rmask ^= 1 << (nc + t - 1 - j)
-            cmask ^= 1 << (nc + t - 1 - j)
-    for j, li in enumerate(ins):
-        if negs[li]:
-            cmask ^= 1 << (t - 1 - j)
-    for j, li in enumerate(outs):
-        if negs[li]:
-            rmask ^= 1 << (t - 1 - j)
-    n = m.shape[0]
-    return m[np.ix_(np.arange(n) ^ rmask, np.arange(n) ^ cmask)]
 
 
 def sequential_order(c: Circuit) -> SeqPlan:
@@ -104,7 +50,7 @@ def sequential_order(c: Circuit) -> SeqPlan:
     indeg = [0] * n_gates
 
     def edge(a: int, b: int):
-        if a != b and b not in succ[a]:
+        if b not in succ[a]:   # a == b: a gate that reads its own output never gets ready
             succ[a].add(b)
             indeg[b] += 1
 
@@ -114,12 +60,11 @@ def sequential_order(c: Circuit) -> SeqPlan:
         for t, _ in e.taps:
             if p is not None:
                 edge(p, t)
-            if s is not None:
+            if s is not None and s != t:   # a control on its own input fails below
                 edge(t, s)
         if p is not None and s is not None:
             edge(p, s)
 
-    kinds: list[str] = []
     for gi, g in enumerate(c.gates):
         d = g.gate
         if d.is_matrix_style:
@@ -128,7 +73,6 @@ def sequential_order(c: Circuit) -> SeqPlan:
                     raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
                 if role is Role.OUT and ends[w].producer != (gi, li):
                     raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
-            kinds.append("unitary")
         elif d.is_symmetric:
             if not all((gi, li) in ends[w].taps for li, w in enumerate(g.wires)):
                 raise NonSequential(
@@ -136,7 +80,6 @@ def sequential_order(c: Circuit) -> SeqPlan:
                     "no schedule treats it as an operator")
             if not np.all(np.isclose(np.abs(d.entries), 1.0)):
                 raise NonSequential(f"gate {gi} ({d.name}) taps wires but is not a pure phase")
-            kinds.append("diag")
         else:
             raise NonSequential(f"gate {gi} ({d.name}) mixes symmetric and directed legs")
 
@@ -154,70 +97,54 @@ def sequential_order(c: Circuit) -> SeqPlan:
         raise NonSequential("feedback loop: the gates cannot be ordered")
 
     live = {w.name: i for i, w in enumerate(c.input_wires)}
-    steps: list[SeqStep] = []
+    n = len(live)
+    steps = []
     for gi in order:
         g = c.gates[gi]
         d = g.gate
-        if kinds[gi] == "unitary":
-            pos = [live[g.wires[li]] for li in d.leg_indices(Role.CTRL)]
+        ten = np.flip(d.entries, [li for li, neg in enumerate(g.negs) if neg])
+        out = list(range(n))
+        if d.is_matrix_style:
+            labels = [live[w] if role is Role.CTRL else -1 for w, role in zip(g.wires, d.legs)]
             for kind, *legs in d.qubit_slots():
                 if kind == "pair":
                     in_leg, out_leg = legs
                     p = live.pop(g.wires[in_leg])
                     live[g.wires[out_leg]] = p
-                    pos.append(p)
-            if len(set(pos)) != len(pos):
+                    labels[in_leg] = p
+                    labels[out_leg] = out[p] = n + out_leg
+            read = [x for x in labels if x < n]
+            if len(set(read)) != len(read):
                 raise NonSequential(f"gate {gi} ({d.name}) binds one qubit to two roles")
-            table = _blocked_matrix(d)
-            if any(g.negs):
-                table = _flip_matrix(table, d, g.negs)
-            steps.append(SeqStep(gi, "unitary", tuple(pos), table))
         else:
-            pos = tuple(live[w] for w in g.wires)
-            if any(g.negs):
-                ten = d.entries
-                for li, neg in enumerate(g.negs):
-                    if neg:
-                        ten = np.flip(ten, axis=li)
-                upos, red = _diag_tensor(
-                    GateDef(d.name, d.legs, ten, d.norm_exponent, d.param), pos)
-            else:
-                upos, red = _diag_tensor(d, pos)
-            steps.append(SeqStep(gi, "diag", upos, red))
+            labels = [live[w] for w in g.wires]
+        steps.append((ten, labels, out))
 
     out_axes = {w.name: live[w.name] for w in c.output_wires}
-    return SeqPlan(len(c.input_wires), tuple(order), tuple(steps), out_axes)
+    return SeqPlan(n, tuple(order), tuple(steps), out_axes)
 
 
-def apply_unitary(psi: np.ndarray, m: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    k = len(positions)
-    moved = np.moveaxis(psi, positions, range(k))
-    shape = moved.shape
-    out = (m @ moved.reshape(2 ** k, -1)).reshape(shape)
-    return np.moveaxis(out, range(k), positions)
+def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
+                        max_wires: int | None = None) -> complex:
+    """<out|circuit|in> by dense simulation, normalization applied at the end.
 
-
-def apply_diag(psi: np.ndarray, diag: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    k = len(positions)
-    moved = np.moveaxis(psi, positions, range(k))
-    moved = moved * diag.reshape(diag.shape + (1,) * (moved.ndim - k))
-    return np.moveaxis(moved, range(k), positions)
-
-
-def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment) -> complex:
-    """<out|circuit|in> by dense simulation, normalization applied at the end."""
+    The state holds 2^n amplitudes, so its n qubits count against the wire
+    guard (``max_wires``, else ``HISTQ_MAX_WIRES``, else the default)."""
+    n = len(c.input_wires)
+    limit = min(resolve_max_wires(max_wires), HARD_MAX_QUBITS)
+    if n > limit:
+        raise MaxWiresExceeded(
+            f"{n} qubits exceed the limit of {limit} (2^{n} amplitudes); "
+            f"--max-wires/HISTQ_MAX_WIRES set it, up to {HARD_MAX_QUBITS}")
     assignment = resolve_boundary(c, boundary)
     if assignment is None:
         return 0j
     plan = sequential_order(c)
-    n = plan.n_qubits
+    axes = list(range(n))
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi[tuple(assignment[w.name] for w in c.input_wires)] = 1.0
-    for step in plan.steps:
-        if step.kind == "unitary":
-            psi = apply_unitary(psi, step.table, step.positions)
-        else:
-            psi = apply_diag(psi, step.table, step.positions)
+    for ten, labels, out in plan.steps:
+        psi = np.einsum(ten, labels, psi, axes, out)
     idx = [0] * n
     for name, axis in plan.out_axes.items():
         idx[axis] = assignment[name]

@@ -54,6 +54,22 @@ def test_run_dash_defers_to_file(teleport, capsys):
     assert float(kv(capsys)["probability"]) == 0.25
 
 
+PINNED = ("version 1\nmode net\nwire a in=1 out=1\nwire b in=0\nwire c out\n"
+          "gate CNOT a b c\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["run", "--in", "--", "--out", "-1"], "probability=1.0"),
+    (["dist", "--in", "-0"], "1=1.0"),
+    (["compare", "--in", "--", "--out", "-1"], "delta=0.0"),
+])
+def test_bits_may_start_with_dash(tmp_path, capsys, argv, want):
+    p = tmp_path / "pinned.circuit"
+    p.write_text(PINNED)
+    assert cli.main([argv[0], str(p), *argv[1:]]) == 0
+    assert want in lines(capsys)
+
+
 def test_run_rejects_wrong_width(teleport, capsys):
     rc = cli.main(["run", teleport, "--in", "10", "--out", "000"])
     assert rc == 2
@@ -154,6 +170,23 @@ def test_guard_exit_code(teleport, capsys, monkeypatch):
     assert cli.main(["run", teleport, "--in", "0--", "--out", "000"]) == 4
     assert cli.main(["run", teleport, "--in", "0--", "--out", "000",
                      "--max-wires", "10"]) == 0
+
+
+@pytest.mark.parametrize("cmd", [["run", "--engine", "canonical"], ["compare"]])
+@pytest.mark.parametrize("n, limit, msg", [
+    (9, 8, "9 qubits exceed the limit of 8"),   # the guard trips before any allocation
+    (44, 50, "out of memory"),                  # 2^48 bytes exceed the address space
+    (60, 62, "60 qubits exceed the limit of 58"),
+])
+def test_dense_engine_wire_guard(tmp_path, capsys, cmd, n, limit, msg):
+    p = tmp_path / "lines.circuit"
+    p.write_text("version 1\nmode seq\n" + "".join(f"qubit q{i}\n" for i in range(n))
+                 + "apply H q0\n")
+    bits = "0" * n
+    rc = cli.main([cmd[0], str(p), *cmd[1:], "--in", bits, "--out", bits,
+                   "--max-wires", str(limit)])
+    assert rc == 4
+    assert msg in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--chunk-size", "--threads", "--max-wires"])

@@ -5,17 +5,13 @@ import pytest
 
 from histq import (BUILTIN, GateClass, GateDef, Role, check_unitary,
                    classify_gate, matrix_gate, phase_gate, phase_value,
-                   unitary_from_hermitian, xor_gate)
-
-S2 = 1.0 / math.sqrt(2.0)
+                   xor_gate)
 
 
 def test_hadamard_listed_entries():
     h = BUILTIN["H"]
     assert h.norm_exponent == 1
     np.testing.assert_array_equal(h.matrix(), np.array([[1, 1], [1, -1]]))
-    np.testing.assert_allclose(h.resolved_matrix(),
-                               S2 * np.array([[1, 1], [1, -1]]), atol=1e-15)
 
 
 def test_pauli_entries_exact():
@@ -104,30 +100,11 @@ def test_qubit_slots_pairing():
     assert BUILTIN["XOR3"].qubit_slots() == [("sym", 0), ("sym", 1), ("sym", 2)]
 
 
-def test_transposed_swaps_roles_only():
-    h = BUILTIN["H"]
-    ht = h.transposed()
-    assert ht.legs == (Role.OUT, Role.IN)
-    np.testing.assert_array_equal(ht.entries, h.entries)
-    assert ht.transposed().legs == h.legs
-
-
 def test_check_unitary():
     assert check_unitary(BUILTIN["H"]) < 1e-12
     assert check_unitary(BUILTIN["TOFFOLI"]) < 1e-12
     bad = matrix_gate("BAD", np.array([[1, 1], [0, 1]]))
     assert check_unitary(bad) > 0.5
-
-
-def test_unitary_from_hermitian():
-    # exp(-i pi/2 X) = -iX up to numerical error
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    u = unitary_from_hermitian(x, math.pi / 2)
-    np.testing.assert_allclose(u, -1j * x, atol=1e-12)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-    np.testing.assert_array_equal(unitary_from_hermitian(x, 0.0), np.eye(2))
-    with pytest.raises(ValueError):
-        unitary_from_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
 
 
 def test_custom_leg_order():

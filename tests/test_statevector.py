@@ -5,12 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from histq import (BoundaryAssignment, NonSequential, SeqDescription, SeqLine,
-                   amplitude_canonical, lower_sequential, parse_circuit)
+from histq import (BoundaryAssignment, Circuit, GateInstance, NonSequential,
+                   SeqDescription, SeqLine, amplitude_canonical, evaluate,
+                   lower_sequential, parse_circuit, phase_gate)
 from histq.examples import BENT_WIRE_TEXT, THREE_STAGE_TEXT
 
-from conftest import random_ops
+from conftest import THETAS, random_circuit, random_ops, random_query
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -149,6 +151,39 @@ def test_xor_netlist_has_no_schedule():
     with pytest.raises(NonSequential):
         amplitude_canonical(c, BoundaryAssignment(
             {"a": 0, "b": 0, "c": 0}, {"a": 0, "b": 0, "c": 0}))
+
+
+@pytest.mark.parametrize("body", [
+    "wire a in\nwire b out\ngate CNOT b a b\n",   # control reads the gate's own output
+    "wire a\ngate X a a\n",                        # the gate consumes its own output
+])
+def test_gate_reading_its_own_output_has_no_schedule(body):
+    c = parse_circuit("version 1\nmode net\n" + body)
+    with pytest.raises(NonSequential, match="feedback loop"):
+        amplitude_canonical(c, BoundaryAssignment(
+            {w.name: 0 for w in c.input_wires}, {w.name: 0 for w in c.output_wires}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_complemented_legs_and_repeated_taps_match_history_sum(seed):
+    """Net netlists whose gates read about 30% of their legs complemented
+    (controls, inputs and outputs alike), plus phase taps that read one wire
+    twice: the dense engine agrees with the history sum."""
+    rng = random.Random(seed)
+    c = random_circuit(rng, g_max=10)
+    gates = [GateInstance(g.gate, g.wires, tuple(rng.random() < 0.3 for _ in g.wires))
+             for g in c.gates]
+    for _ in range(rng.randint(1, 2)):
+        # the boundary ends on one side are live together, so any two may be tapped at once
+        names = [w.name for w in rng.choice([c.input_wires, c.output_wires])]
+        w = rng.choice(names)
+        wires = rng.choice([(w, w), (w, w, rng.choice(names))])
+        gates.append(GateInstance(phase_gate(rng.choice(THETAS), len(wires)), wires,
+                                  tuple(rng.random() < 0.3 for _ in wires)))
+    c = Circuit(c.wires, gates, "net")
+    q = random_query(rng, c)
+    assert abs(amplitude_canonical(c, q) - evaluate(c, q).value) < 1e-10
 
 
 def test_random_circuits_match_brute_force():
