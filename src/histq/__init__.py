@@ -4,15 +4,13 @@ from .circuit import (Amplitude, BoundaryAssignment, Circuit, GateInstance,
                       SeqDescription, SeqLine, SeqOp, Wire, classify_wires,
                       gate_factor, lower_sequential, resolve_boundary,
                       validate)
-from .engine import (DEFAULT_MAX_WIRES, Distribution, EvalResult,
-                     accepted_history_count, evaluate, free_output_ends,
-                     memory_probe, output_distribution, transition_amplitude,
-                     transition_probability)
+from .engine import (DEFAULT_MAX_WIRES, Distribution, EvalResult, evaluate,
+                     free_output_ends, memory_probe, output_distribution,
+                     transition_amplitude)
 from .errors import (CircuitError, InterfaceMismatch, MaxWiresExceeded,
                      NonSequential, ParseError, UnboundWire, ValidationError)
-from .gates import (BUILTIN, GateClass, GateDef, Role, check_unitary,
-                    classify_gate, matrix_gate, phase_gate, phase_value,
-                    xor_gate)
+from .gates import (BUILTIN, GateDef, Role, check_unitary, matrix_gate,
+                    phase_gate, phase_value, xor_gate)
 from .parser import emit_circuit, parse_circuit
 from .rewrite import (DEFAULT_PASSES, PASSES, PassReport, apply_passes,
                       canonicalize, compute_constants,
@@ -26,13 +24,13 @@ __all__ = [
     "Amplitude", "BoundaryAssignment", "Circuit", "GateInstance",
     "SeqDescription", "SeqLine", "SeqOp", "Wire", "classify_wires",
     "gate_factor", "lower_sequential", "resolve_boundary", "validate",
-    "DEFAULT_MAX_WIRES", "Distribution", "EvalResult",
-    "accepted_history_count", "evaluate", "free_output_ends", "memory_probe",
-    "output_distribution", "transition_amplitude", "transition_probability",
+    "DEFAULT_MAX_WIRES", "Distribution", "EvalResult", "evaluate",
+    "free_output_ends", "memory_probe", "output_distribution",
+    "transition_amplitude",
     "CircuitError", "InterfaceMismatch", "MaxWiresExceeded", "NonSequential",
     "ParseError", "UnboundWire", "ValidationError",
-    "BUILTIN", "GateClass", "GateDef", "Role", "check_unitary",
-    "classify_gate", "matrix_gate", "phase_gate", "phase_value", "xor_gate",
+    "BUILTIN", "GateDef", "Role", "check_unitary", "matrix_gate",
+    "phase_gate", "phase_value", "xor_gate",
     "emit_circuit", "parse_circuit",
     "DEFAULT_PASSES", "PASSES", "PassReport", "apply_passes", "canonicalize",
     "compute_constants", "drop_dead_controlled_gates", "equivalent",

@@ -111,21 +111,15 @@ class Circuit:
         return self.norm_shift + sum(g.gate.norm_exponent for g in self.gates)
 
     @cached_property
-    def attachments(self) -> dict[str, list[tuple[int, int, Role]]]:
-        att: dict[str, list[tuple[int, int, Role]]] = {w.name: [] for w in self.wires}
-        for gi, g in enumerate(self.gates):
-            for li, wname in enumerate(g.wires):
-                att[wname].append((gi, li, g.gate.legs[li]))
-        return att
-
-    @cached_property
     def ends(self) -> dict[str, WireEnds]:
+        legs = {w.name: {r: [] for r in Role} for w in self.wires}
+        for gi, g in enumerate(self.gates):
+            for li, (wname, role) in enumerate(zip(g.wires, g.gate.legs)):
+                legs[wname][role].append((gi, li))
         out: dict[str, WireEnds] = {}
         for w in self.wires:
-            producers = [(gi, li) for gi, li, r in self.attachments[w.name] if r is Role.OUT]
-            consumers = [(gi, li) for gi, li, r in self.attachments[w.name] if r is Role.IN]
-            syms = [(gi, li) for gi, li, r in self.attachments[w.name] if r is Role.SYM]
-            taps = [(gi, li) for gi, li, r in self.attachments[w.name] if r is Role.CTRL]
+            by_role = legs[w.name]
+            producers, consumers, syms = by_role[Role.OUT], by_role[Role.IN], by_role[Role.SYM]
             producer = producers[0] if producers else None
             consumer = consumers[0] if consumers else None
             # symmetric legs fill open ends, begin side first; leftovers tap
@@ -133,7 +127,7 @@ class Circuit:
                 producer = syms.pop(0)
             if consumer is None and not w.out_bound and syms:
                 consumer = syms.pop(0)
-            taps += producers[1:] + consumers[1:] + syms
+            taps = by_role[Role.CTRL] + producers[1:] + consumers[1:] + syms
             out[w.name] = WireEnds(
                 in_boundary=w.in_bound or producer is None,
                 in_value=w.in_value,
@@ -171,28 +165,31 @@ def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def validate(c: Circuit) -> list[str]:
     """Structural diagnostics; an empty list means the circuit is well formed."""
     diags: list[str] = []
+    legs = Counter((wname, role) for g in c.gates for wname, role in zip(g.wires, g.gate.legs))
     for w in c.wires:
-        att = c.attachments[w.name]
-        producers = sum(1 for _, _, r in att if r is Role.OUT) + (1 if w.in_bound else 0)
-        consumers = sum(1 for _, _, r in att if r is Role.IN) + (1 if w.out_bound else 0)
+        producers = legs[w.name, Role.OUT] + w.in_bound
+        consumers = legs[w.name, Role.IN] + w.out_bound
         if producers > 1:
             diags.append(f"wire {w.name}: more than one producer"
                          + (" (boundary binding plus gate output)" if w.in_bound else ""))
         if consumers > 1:
             diags.append(f"wire {w.name}: more than one consumer"
                          + (" (boundary binding plus gate input)" if w.out_bound else ""))
+    faults: dict[GateDef, str | None] = {}   # GateDef hashes by identity
     for gi, g in enumerate(c.gates):
-        ins = len(g.gate.leg_indices(Role.IN))
-        outs = len(g.gate.leg_indices(Role.OUT))
-        if ins != outs:
-            diags.append(f"gate {gi} ({g.gate.name}): {ins} inputs vs {outs} outputs")
-            continue
-        if g.gate.is_matrix_style:
-            dev = check_unitary(g.gate)
-            if dev > 1e-10:
-                diags.append(f"gate {gi} ({g.gate.name}): not unitary "
-                             f"(deviation {dev:.2e})")
+        if g.gate not in faults:
+            faults[g.gate] = _gate_fault(g.gate)
+        if faults[g.gate]:
+            diags.append(f"gate {gi} ({g.gate.name}): {faults[g.gate]}")
     return diags
+
+
+def _gate_fault(d: GateDef) -> str | None:
+    ins, outs = len(d.leg_indices(Role.IN)), len(d.leg_indices(Role.OUT))
+    if ins != outs:
+        return f"{ins} inputs vs {outs} outputs"
+    dev = check_unitary(d)
+    return f"not unitary (deviation {dev:.2e})" if dev > 1e-10 else None
 
 
 def gate_factor(g: GateInstance, history: Mapping[str, int]) -> complex:

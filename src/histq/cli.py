@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from functools import partial
@@ -179,6 +180,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return tol
+
+
 def _add_engine_args(p: argparse.ArgumentParser, with_engine: bool = True):
     if with_engine:
         p.add_argument("--engine", choices=("soh", "canonical"), default="soh")
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--in", default=None, metavar="BITS")
     p.add_argument("--out", default=None, metavar="BITS")
-    p.add_argument("--tol", type=float, default=COMPARE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=COMPARE_TOL)
     _add_engine_args(p, with_engine=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compare)

@@ -25,10 +25,12 @@ high bits, or both ("mixed"), and the sum runs in three stages:
 
 A gate's entry index is a constant (external bits and complemented reads)
 XORed with shifted lane bits; lanes whose factor is an exact zero are
-dropped from later gates.  A run holds at most 2^low lanes and at least one
-block, so memory stays O(chunk).  Runs are reduced in ascending order
-whether or not a thread pool is used: threads change no bit, while the
-chunk size may move the last bits of an inexact sum.
+dropped from later gates.  Within each stage the gates with a zero entry
+run first, so the rest see only surviving lanes.  A run holds at most
+2^low lanes and at least one block, so memory stays O(chunk).  Runs are
+reduced in ascending order whether or not a thread pool is used: threads
+change no bit, while the chunk size may move the last bits of an inexact
+sum.
 """
 
 from __future__ import annotations
@@ -45,12 +47,10 @@ import numpy as np
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires,
                       resolve_boundary)
 from .errors import MaxWiresExceeded, ValidationError
-from .gates import GateClass, classify_gate
 
 DEFAULT_MAX_WIRES = 40
 HARD_MAX_WIRES = 62    # 2^63 histories no longer fit a signed 64-bit count
 DEFAULT_CHUNK = 1 << 16
-_CLASS_RANK = {GateClass.CLASSICAL: 0, GateClass.PHASE: 1, GateClass.GENERAL: 2}
 
 
 def resolve_max_wires(max_wires: int | None) -> int:
@@ -111,9 +111,8 @@ def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
     w = len(order)
     pos = {name: i for i, name in enumerate(order)}  # position 0 is the high bit
     specs = []
-    ranked = sorted(enumerate(c.gates),
-                    key=lambda t: (_CLASS_RANK[classify_gate(t[1].gate)], t[0]))
-    for _, g in ranked:
+    # gates that can zero a lane run first, each group in circuit order
+    for g in sorted(c.gates, key=lambda g: g.gate.nonzero_mask is None):
         n = g.gate.n_legs
         const = 0
         ext = []
@@ -236,16 +235,6 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
 def transition_amplitude(c: Circuit, boundary: BoundaryAssignment | None = None,
                          **opts) -> complex:
     return evaluate(c, boundary, **opts).value
-
-
-def transition_probability(c: Circuit, boundary: BoundaryAssignment | None = None,
-                           **opts) -> float:
-    return abs(evaluate(c, boundary, **opts).value) ** 2
-
-
-def accepted_history_count(c: Circuit, boundary: BoundaryAssignment | None = None,
-                           **opts) -> int:
-    return evaluate(c, boundary, **opts).accepted
 
 
 @dataclass

@@ -15,16 +15,19 @@ The tensor index for legs (l0, l1, ..) uses l0 as the most significant bit.
 ``GateDef.blocks()`` is the one row/column view of a directed gate: the
 entries transposed to (controls..., outputs..., inputs...) and reshaped to
 one matrix per control setting, rows = output bits, columns = input bits.
-``matrix()`` is its last block (every control 1), ``check_unitary`` and the
-phase test of ``classify_gate`` loop over it, and ``matrix_gate`` builds the
-entries by the inverse transpose.
+``matrix()`` is its last block (every control 1), ``check_unitary`` loops
+over it, and ``matrix_gate`` builds the entries by the inverse transpose.
+
+A ``GateDef`` is immutable, so what the hot paths read of its zero pattern
+(``nonzero_mask`` for pruning, ``support`` for constant propagation) is
+derived once per definition and cached.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 
@@ -36,12 +39,6 @@ class Role(Enum):
     OUT = "out"
     CTRL = "ctrl"
     SYM = "sym"
-
-
-class GateClass(Enum):
-    CLASSICAL = "classical"
-    PHASE = "phase"
-    GENERAL = "general"
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +65,13 @@ class GateDef:
         """Flat ``entries != 0`` for pruning, or None when no entry is zero."""
         mask = self.entries.reshape(-1) != 0
         return None if mask.all() else mask
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Leg bits of every nonzero entry, one row per entry, in index order."""
+        rows = np.argwhere(self.entries != 0)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def is_symmetric(self) -> bool:
@@ -126,32 +130,7 @@ class GateDef:
         return (self.name, self.legs, self.norm_exponent, self.param, self.entries.tobytes())
 
 
-def classify_gate(g: GateDef) -> GateClass:
-    """classical: only 0/1 entries and no normalization; phase: entries all zero
-    or unit-modulus and diagonal across the row/column split (vacuous for
-    all-symmetric gates); everything else: general."""
-    e = g.entries
-    if g.norm_exponent == 0 and np.all((e == 0) | (e == 1)):
-        return GateClass.CLASSICAL
-    mods = np.abs(e)
-    if np.all((e == 0) | (np.abs(mods - 1.0) < 1e-15)):
-        if g.is_symmetric or not g.leg_indices(Role.IN):
-            return GateClass.PHASE
-        # diagonal across the row/column split, controls held equal on both sides
-        if _diagonal_all_blocks(g):
-            return GateClass.PHASE
-    return GateClass.GENERAL
-
-
-def _diagonal_all_blocks(g: GateDef) -> bool:
-    """No nonzero entry off the diagonal of any block; an unbalanced gate's
-    blocks have no diagonal."""
-    b = g.blocks()
-    diag = np.diagonal(b, axis1=1, axis2=2) if b.shape[1] == b.shape[2] else ()
-    return np.count_nonzero(b) == np.count_nonzero(diag)
-
-
-def check_unitary(g: GateDef, tol: float = 1e-10) -> float:
+def check_unitary(g: GateDef) -> float:
     """Max deviation of U U^dagger from I over all control settings, for the
     resolved matrix.  Symmetric gates are skipped (no row/column split)."""
     if not g.is_matrix_style:

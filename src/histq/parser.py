@@ -41,6 +41,7 @@ from .gates import (BUILTIN, MAX_PHASE_LEGS, GateDef, Role, check_unitary,
                     matrix_gate, phase_gate)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_DIGITS = re.compile(r"[0-9]+$")
 _PI_FORM = re.compile(r"(-?)pi(?:/([0-9]+))?$")
 
 
@@ -186,9 +187,12 @@ def parse_circuit(text: str) -> Circuit:
         if head == "matrix":
             parse_matrix(toks, lineno)
         elif head == "norm":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not _DIGITS.match(toks[1]):
                 raise ParseError(lineno, "usage: norm <k>")
-            norm_shift += int(toks[1])
+            try:
+                norm_shift += int(toks[1])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(lineno, f"norm exponent has {len(toks[1])} digits") from None
         elif head == "wire":
             if mode != "net":
                 raise ParseError(lineno, "'wire' is a net-mode directive")

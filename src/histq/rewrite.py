@@ -169,17 +169,13 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
         v = w.in_value if w.in_value is not None else w.out_value
         if v is not None:
             known[w.name] = v
-    rows_cache: dict[int, np.ndarray] = {}
     changed = True
     while changed:
         changed = False
         for gi, g in enumerate(c.gates):
             if gi in skip or g.gate.n_legs == 0:
                 continue
-            rows = rows_cache.get(gi)
-            if rows is None:
-                rows = np.argwhere(g.gate.entries != 0)
-                rows_cache[gi] = rows
+            rows = g.gate.support
             mask = np.ones(len(rows), dtype=bool)
             for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
                 if wire in known:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BoundaryAssignment, Circuit, resolve_boundary
+from .circuit import Amplitude, BoundaryAssignment, Circuit, resolve_boundary
 from .engine import HARD_MAX_WIRES, resolve_max_wires
 from .errors import MaxWiresExceeded, NonSequential
 from .gates import Role
@@ -148,5 +148,4 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
     idx = [0] * n
     for name, axis in plan.out_axes.items():
         idx[axis] = assignment[name]
-    amp = complex(psi[tuple(idx)])
-    return amp * 2.0 ** (-c.total_norm_exponent / 2.0)
+    return Amplitude(complex(psi[tuple(idx)]), c.total_norm_exponent).resolved()

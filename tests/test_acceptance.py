@@ -11,9 +11,9 @@ import time
 import pytest
 
 from histq import (BUILTIN, BoundaryAssignment, SeqDescription, SeqLine,
-                   SeqOp, accepted_history_count, amplitude_canonical,
-                   canonicalize, cli, equivalent, evaluate, lower_sequential,
-                   memory_probe, output_distribution, parse_circuit)
+                   SeqOp, amplitude_canonical, canonicalize, cli, equivalent,
+                   evaluate, lower_sequential, memory_probe,
+                   output_distribution, parse_circuit)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.rewrite import PASSES
 
@@ -192,9 +192,9 @@ def test_criterion_7_classical_pruning():
         # line names are two characters; the rest of a wire name is its cut index
         q = BoundaryAssignment(
             {}, {w.name: vals[w.name[:2]] for w in c.output_wires})
-        got = accepted_history_count(c, q)
+        got = evaluate(c, q).accepted
         # the parity form of the same netlist must prune identically
-        got_canon = accepted_history_count(canonicalize(c), q)
+        got_canon = evaluate(canonicalize(c), q).accepted
         if got != 1 or got_canon != 1:
             failures.append((trial, got, got_canon))
     verdict(7, not failures, f"20 circuits, accepted counts {failures or 'all 1'}")

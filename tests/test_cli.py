@@ -134,11 +134,29 @@ def test_compare_agrees(teleport, capsys):
     assert float(got["delta"]) <= 1e-10
 
 
-def test_compare_tolerance_gate(teleport, capsys):
-    # impossible tolerance: identical engines still differ by > -1
-    rc = cli.main(["compare", teleport, "--in", "0--", "--out", "100",
-                   "--tol", "-1"])
-    assert rc == 1
+def test_compare_tolerance_gate(teleport, capsys, monkeypatch):
+    # a dense engine that answers 2 (no amplitude does) disagrees, unless
+    # the tolerance covers the whole gap
+    monkeypatch.setattr(cli, "amplitude_canonical", lambda c, q, max_wires=None: 2.0)
+    argv = ["compare", teleport, "--in", "0--", "--out", "100"]
+    assert cli.main(argv) == 1
+    assert cli.main(argv + ["--tol", "3"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
+def test_compare_tolerance_must_be_finite_and_nonnegative(teleport, capsys, value):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["compare", teleport, "--in", "0--", "--out", "100", "--tol", value])
+    assert ei.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_compare_on_huge_norm(tmp_path, capsys):
+    # 2^(-K/2) underflows to zero; both engines must say so, not overflow
+    p = tmp_path / "huge.circuit"
+    p.write_text("version 1\nmode seq\nnorm " + "9" * 400 + "\nqubit a\napply H a\n")
+    assert cli.main(["compare", str(p), "--in", "0", "--out", "0"]) == 0
+    assert float(kv(capsys)["delta"]) == 0.0
 
 
 def test_count_exact_line(tmp_path, capsys):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
-                   SeqDescription, SeqLine, SeqOp, accepted_history_count,
+                   Circuit, GateInstance, SeqDescription, SeqLine, SeqOp, Wire,
                    amplitude_canonical, classify_wires, evaluate,
                    free_output_ends, gate_factor, lower_sequential,
                    memory_probe, output_distribution, parse_circuit,
-                   phase_gate, resolve_boundary, transition_probability)
+                   phase_gate, resolve_boundary)
 from histq import engine
 from histq.engine import resolve_max_wires
 from histq.examples import TELEPORTATION_TEXT
@@ -81,7 +81,7 @@ def test_classical_chain_accepts_one_history():
     r = evaluate(c, BoundaryAssignment({"a0": 0}, {"a9": 1}))
     assert r.value == 1 and r.accepted == 1
     assert evaluate(c, BoundaryAssignment({"a0": 0}, {"a9": 0})).accepted == 0
-    assert accepted_history_count(c, BoundaryAssignment({"a0": 1}, {"a9": 0})) == 1
+    assert evaluate(c, BoundaryAssignment({"a0": 1}, {"a9": 0})).accepted == 1
 
 
 def test_conflicting_query_short_circuits():
@@ -259,8 +259,34 @@ def test_wire_guard(monkeypatch):
 
 def test_transition_probability():
     c = parse_circuit("version 1\nmode seq\nqubit a in=0\napply H a\n")
-    p = transition_probability(c, BoundaryAssignment({}, {"a1": 0}))
+    p = abs(evaluate(c, BoundaryAssignment({}, {"a1": 0})).value) ** 2
     assert abs(p - 0.5) < 1e-12
+
+
+def test_prepare_runs_zero_capable_gates_first():
+    tap, h, y, cnot, s = (phase_gate(0.3, 2), BUILTIN["H"], BUILTIN["Y"],
+                          BUILTIN["CNOT"], BUILTIN["S"])
+    gates = [GateInstance(tap, ("a0", "b0")), GateInstance(h, ("a0", "a1")),
+             GateInstance(y, ("b0", "b1")), GateInstance(tap, ("a1", "b1")),
+             GateInstance(cnot, ("a1", "b1", "b2")), GateInstance(h, ("a1", "a2")),
+             GateInstance(s, ("b2", "b3"))]
+    c = Circuit([Wire("a0", in_bound=True), Wire("a1"), Wire("a2", out_bound=True),
+                 Wire("b0", in_bound=True), Wire("b1"), Wire("b2"),
+                 Wire("b3", out_bound=True)], gates)
+    prep = engine.prepare(c)
+
+    def wires_read(spec):
+        n = len(spec.ext_legs) + len(spec.var_legs)
+        wires = [None] * n
+        for wire, place in spec.ext_legs:
+            wires[n - 1 - place] = wire
+        for shift, place in spec.var_legs:
+            wires[n - 1 - place] = prep.internal[len(prep.internal) - 1 - shift]
+        return tuple(wires)
+
+    # Y, CNOT and S have zero entries; the phase tap and H have none
+    want = [gates[i] for i in (2, 4, 6, 0, 1, 3, 5)]
+    assert [wires_read(spec) for spec in prep.specs] == [g.wires for g in want]
 
 
 def test_free_output_ends():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from histq import (BUILTIN, GateClass, GateDef, Role, check_unitary,
-                   classify_gate, matrix_gate, phase_gate, phase_value,
-                   xor_gate)
+from histq import (BUILTIN, GateDef, Role, check_unitary, matrix_gate,
+                   phase_gate, phase_value, xor_gate)
 
 
 def test_hadamard_listed_entries():
@@ -38,16 +37,13 @@ def test_controlled_gate_embeds_identity():
     np.testing.assert_array_equal(cnot.matrix(), np.array([[0, 1], [1, 0]]))
 
 
-def test_classification():
-    assert classify_gate(BUILTIN["X"]) is GateClass.CLASSICAL
-    assert classify_gate(BUILTIN["CNOT"]) is GateClass.CLASSICAL
-    assert classify_gate(BUILTIN["TOFFOLI"]) is GateClass.CLASSICAL
-    assert classify_gate(BUILTIN["XOR3"]) is GateClass.CLASSICAL
-    for name in ("Z", "S", "T", "CZ", "CCZ"):
-        assert classify_gate(BUILTIN[name]) is GateClass.PHASE, name
-    assert classify_gate(BUILTIN["H"]) is GateClass.GENERAL
-    assert classify_gate(BUILTIN["Y"]) is GateClass.GENERAL
-    assert classify_gate(phase_gate(0.7, 2)) is GateClass.PHASE
+def test_support_lists_nonzero_entries_once():
+    cnot = BUILTIN["CNOT"]
+    np.testing.assert_array_equal(cnot.support, np.argwhere(cnot.entries != 0))
+    assert cnot.support.shape == (4, 3)
+    assert cnot.support is cnot.support
+    assert not cnot.support.flags.writeable
+    assert len(phase_gate(0.7, 2).support) == 4
 
 
 def test_xor_gate_accepts_even_parity():

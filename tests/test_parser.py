@@ -99,6 +99,13 @@ def test_norm_directive():
     assert c.norm_shift == 3 and c.total_norm_exponent == 3
 
 
+@pytest.mark.parametrize("k", ["\u00b2", "\u0663", "-1", "1.5", "9" * 5000],
+                         ids=["superscript-2", "arabic-indic-3", "negative", "fraction",
+                              "5000-digits"])
+def test_norm_takes_ascii_digits_only(k):
+    assert perr(f"version 1\nmode net\nnorm {k}\nwire a in out\n").line == 3
+
+
 def test_custom_matrix_block():
     # custom gates bind their output legs first: a is produced, b consumed
     text = ("version 1\nmode net\n"
