@@ -11,18 +11,21 @@ A wire is *external* when at least one of its ends is at the boundary: either
 declared (``in``/``out``, with or without a pinned bit) or left unfilled by
 gate legs.  External wire values come from the boundary; internal wires take
 both values, one assignment per history.
+
+``attachments`` is the one home of this rule.  ``Circuit.ends`` keeps only
+the boundary flags it implies; pinned bits stay on the ``Wire``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import UnboundWire, ValidationError
-from .gates import BUILTIN, GateDef, Role, check_unitary, phase_gate
+from .gates import GateDef, Role, check_unitary
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,18 @@ class GateInstance:
 
 @dataclass(frozen=True)
 class WireEnds:
-    """Resolved end attachments for one wire."""
+    """Which ends of one wire are at the circuit boundary."""
     in_boundary: bool
-    in_value: int | None
     out_boundary: bool
-    out_value: int | None
-    producer: tuple[int, int] | None   # (gate index, leg index) filling the begin end
-    consumer: tuple[int, int] | None
-    taps: tuple[tuple[int, int], ...]
 
     @property
     def internal(self) -> bool:
         return not (self.in_boundary or self.out_boundary)
+
+
+_ENDS = {(i, o): WireEnds(i, o) for i in (False, True) for o in (False, True)}
+
+Leg = tuple[int, int]   # (gate index, leg index)
 
 
 class Circuit:
@@ -78,10 +81,9 @@ class Circuit:
     fixes bit significance everywhere (first declared = most significant)."""
 
     def __init__(self, wires: Sequence[Wire], gates: Sequence[GateInstance],
-                 mode: str = "net", norm_shift: int = 0):
+                 norm_shift: int = 0):
         self.wires: tuple[Wire, ...] = tuple(wires)
         self.gates: tuple[GateInstance, ...] = tuple(gates)
-        self.mode = mode
         self.norm_shift = int(norm_shift)
         names = [w.name for w in self.wires]
         if len(set(names)) != len(names):
@@ -103,7 +105,6 @@ class Circuit:
     def replace(self, wires=None, gates=None, norm_shift=None) -> "Circuit":
         return Circuit(self.wires if wires is None else wires,
                        self.gates if gates is None else gates,
-                       self.mode,
                        self.norm_shift if norm_shift is None else norm_shift)
 
     @cached_property
@@ -112,29 +113,9 @@ class Circuit:
 
     @cached_property
     def ends(self) -> dict[str, WireEnds]:
-        legs = {w.name: {r: [] for r in Role} for w in self.wires}
-        for gi, g in enumerate(self.gates):
-            for li, (wname, role) in enumerate(zip(g.wires, g.gate.legs)):
-                legs[wname][role].append((gi, li))
-        out: dict[str, WireEnds] = {}
-        for w in self.wires:
-            by_role = legs[w.name]
-            producers, consumers, syms = by_role[Role.OUT], by_role[Role.IN], by_role[Role.SYM]
-            producer = producers[0] if producers else None
-            consumer = consumers[0] if consumers else None
-            # symmetric legs fill open ends, begin side first; leftovers tap
-            if producer is None and not w.in_bound and syms:
-                producer = syms.pop(0)
-            if consumer is None and not w.out_bound and syms:
-                consumer = syms.pop(0)
-            taps = by_role[Role.CTRL] + producers[1:] + consumers[1:] + syms
-            out[w.name] = WireEnds(
-                in_boundary=w.in_bound or producer is None,
-                in_value=w.in_value,
-                out_boundary=w.out_bound or consumer is None,
-                out_value=w.out_value,
-                producer=producer, consumer=consumer, taps=tuple(taps))
-        return out
+        """Boundary flags per wire: a declared end, or one no gate leg fills."""
+        return {w.name: _ENDS[w.in_bound or producer is None, w.out_bound or consumer is None]
+                for w, (producer, consumer, _) in zip(self.wires, attachments(self).values())}
 
     @cached_property
     def input_wires(self) -> tuple[Wire, ...]:
@@ -150,6 +131,29 @@ class Circuit:
                       for w in self.wires),
                 tuple((g.gate.structural_key(), g.wires, g.negs) for g in self.gates),
                 self.norm_shift)
+
+
+def attachments(c: Circuit) -> dict[str, tuple[Leg | None, Leg | None, tuple[Leg, ...]]]:
+    """Each wire's (producer, consumer, taps) as (gate, leg)s: the first output
+    leg fills the begin end, the first input leg the end end, symmetric legs
+    fill undeclared open ends begin side first, and every other leg taps."""
+    legs = {w.name: {r: [] for r in Role} for w in c.wires}
+    for gi, g in enumerate(c.gates):
+        for li, (wname, role) in enumerate(zip(g.wires, g.gate.legs)):
+            legs[wname][role].append((gi, li))
+    out = {}
+    for w in c.wires:
+        by_role = legs[w.name]
+        producers, consumers, syms = by_role[Role.OUT], by_role[Role.IN], by_role[Role.SYM]
+        producer = producers[0] if producers else None
+        consumer = consumers[0] if consumers else None
+        if producer is None and not w.in_bound and syms:
+            producer = syms.pop(0)
+        if consumer is None and not w.out_bound and syms:
+            consumer = syms.pop(0)
+        taps = by_role[Role.CTRL] + producers[1:] + consumers[1:] + syms
+        out[w.name] = (producer, consumer, tuple(taps))
+    return out
 
 
 def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -224,51 +228,37 @@ class BoundaryAssignment:
     out_bits: Mapping[str, int] = field(default_factory=dict)
 
 
-def resolve_boundary(c: Circuit, b: BoundaryAssignment,
-                     require_all: bool = True) -> dict[str, int] | None:
+def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None:
     """Combine pinned and supplied bits into one value per external wire.
 
     Returns None when some wire receives two different values — every history
     is then rejected and the amplitude is exactly zero.  Raises UnboundWire if
-    ``require_all`` and a boundary end has no value from either source.
+    a boundary end has no value from either source.
     """
-    for name in b.in_bits:
-        if not c.has_wire(name):
-            raise UnboundWire(f"no wire named {name}")
-        if not c.ends[name].in_boundary:
-            raise ValidationError(f"wire {name} has no boundary input end")
-    for name in b.out_bits:
-        if not c.has_wire(name):
-            raise UnboundWire(f"no wire named {name}")
-        if not c.ends[name].out_boundary:
-            raise ValidationError(f"wire {name} has no boundary output end")
+    for side, bits in (("input", b.in_bits), ("output", b.out_bits)):
+        for name in bits:
+            if not c.has_wire(name):
+                raise UnboundWire(f"no wire named {name}")
+            e = c.ends[name]
+            if not (e.in_boundary if side == "input" else e.out_boundary):
+                raise ValidationError(f"wire {name} has no boundary {side} end")
     values: dict[str, int] = {}
     conflict = False
     missing: list[str] = []
     for w in c.wires:
         e = c.ends[w.name]
-        if e.internal:
-            continue
         got: list[int] = []
-        if e.in_boundary:
-            if w.name in b.in_bits:
-                got.append(int(b.in_bits[w.name]))
-            if e.in_value is not None:
-                got.append(e.in_value)
-            if w.name not in b.in_bits and e.in_value is None:
-                missing.append(f"{w.name}:in")
-        if e.out_boundary:
-            if w.name in b.out_bits:
-                got.append(int(b.out_bits[w.name]))
-            if e.out_value is not None:
-                got.append(e.out_value)
-            if w.name not in b.out_bits and e.out_value is None:
-                missing.append(f"{w.name}:out")
+        for side, at_boundary, bits, pin in (("in", e.in_boundary, b.in_bits, w.in_value),
+                                             ("out", e.out_boundary, b.out_bits, w.out_value)):
+            if at_boundary:
+                sources = [int(v) for v in (bits.get(w.name), pin) if v is not None]
+                if not sources:
+                    missing.append(f"{w.name}:{side}")
+                got += sources
         if got:
-            if any(v != got[0] for v in got):
-                conflict = True
+            conflict |= any(v != got[0] for v in got)
             values[w.name] = got[0]
-    if require_all and missing:
+    if missing:
         raise UnboundWire("unbound external wire ends: " + ", ".join(missing))
     return None if conflict else values
 
@@ -362,4 +352,4 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
                 out_bound=(s == last), out_value=ln.out_value if s == last else None))
     # a line both starts and ends at the boundary even if gates cut it in
     # between; single-segment lines carry both flags on one wire
-    return Circuit(wires, gates, mode="seq")
+    return Circuit(wires, gates)

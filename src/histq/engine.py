@@ -245,9 +245,6 @@ class Distribution:
     def __post_init__(self):
         self.total = float(sum(self.probs.values()))
 
-    def unit_total(self, tol: float = 1e-9) -> bool:
-        return abs(self.total - 1.0) <= tol
-
 
 def free_output_ends(c: Circuit, boundary: BoundaryAssignment | None = None) -> list[str]:
     """Boundary-out ends not pinned in the file or bound by the query."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -177,20 +178,25 @@ def matrix_gate(name: str, listed: np.ndarray, n_ctrl: int = 0,
     return GateDef(name, legs, ent, norm_exponent)
 
 
-def phase_gate(theta: float, n_legs: int, norm_exponent: int = 0,
-               value: complex | None = None) -> GateDef:
+_PHASES = weakref.WeakValueDictionary()   # (theta, sign of theta, legs, exponent) -> GateDef
+
+
+def phase_gate(theta: float, n_legs: int, norm_exponent: int = 0) -> GateDef:
     """PHASE(theta) with ``n_legs`` symmetric legs: factor e^{i*theta} when every
     leg reads 1, factor 1 otherwise.  Zero legs gives a global e^{i*theta} gate.
 
-    ``value`` overrides the computed e^{i*theta} so rewrites can reuse a source
-    gate's exact entry.
+    Callers share one definition per (theta, legs, exponent) while any holds it;
+    ``-0.0`` and ``0.0`` stay apart because they emit differently.
     """
-    if value is None:
-        value = phase_value(theta)
-    shape = (2,) * n_legs
-    ent = np.ones(shape, dtype=complex)
-    ent[(1,) * n_legs] = value
-    return GateDef("PHASE", (Role.SYM,) * n_legs, ent, norm_exponent, param=theta)
+    theta = float(theta)
+    key = (theta, math.copysign(1.0, theta), n_legs, norm_exponent)
+    d = _PHASES.get(key)
+    if d is None:
+        ent = np.ones((2,) * n_legs, dtype=complex)
+        ent[(1,) * n_legs] = phase_value(theta)
+        d = _PHASES[key] = GateDef("PHASE", (Role.SYM,) * n_legs, ent, norm_exponent,
+                                   param=theta)
+    return d
 
 
 def phase_value(theta: float) -> complex:

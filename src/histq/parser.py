@@ -25,6 +25,9 @@ Both modes may define custom gates; entries are RE:IM, rows are output bits::
 
 ``#`` starts a comment.  A bare ``in``/``out`` on a wire marks a boundary end
 whose bit arrives with the query rather than being pinned in the file.
+
+Numbers are ASCII: counts are digits only, and angles and entry parts are
+decimals with an optional leading ``-`` (no ``+``, no ``_``).
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .gates import (BUILTIN, MAX_PHASE_LEGS, GateDef, Role, check_unitary,
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _DIGITS = re.compile(r"[0-9]+$")
+_FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|infinity|nan)$",
+                    re.IGNORECASE)
 _PI_FORM = re.compile(r"(-?)pi(?:/([0-9]+))?$")
 
 
@@ -52,15 +57,14 @@ def _strip(line: str) -> str:
 def parse_theta(tok: str, lineno: int) -> float:
     m = _PI_FORM.match(tok)
     if m:
-        denom = int(m.group(2) or 1)
-        if denom == 0:
-            raise ParseError(lineno, f"malformed angle {tok!r}")
-        v = math.pi / denom
+        try:
+            v = math.pi / int(m.group(2) or 1)
+        except (ValueError, OverflowError, ZeroDivisionError):  # 0, or too many digits
+            raise ParseError(lineno, f"malformed angle {tok!r}") from None
         return -v if m.group(1) else v
-    try:
-        theta = float(tok)
-    except ValueError:
-        raise ParseError(lineno, f"malformed angle {tok!r}") from None
+    if not _FLOAT.match(tok):
+        raise ParseError(lineno, f"malformed angle {tok!r}")
+    theta = float(tok)
     if not math.isfinite(theta):
         raise ParseError(lineno, f"angle {tok!r} is not finite")
     return theta
@@ -68,12 +72,9 @@ def parse_theta(tok: str, lineno: int) -> float:
 
 def _parse_entry(tok: str, lineno: int) -> complex:
     parts = tok.split(":")
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(_FLOAT.match(p) for p in parts):
         raise ParseError(lineno, f"matrix entry {tok!r} is not RE:IM")
-    try:
-        re_part, im_part = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"matrix entry {tok!r} is not RE:IM") from None
+    re_part, im_part = float(parts[0]), float(parts[1])
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise ParseError(lineno, f"matrix entry {tok!r} is not finite")
     return complex(re_part, im_part)
@@ -131,12 +132,9 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(lineno, f"gate name {name} is reserved")
         if name in custom:
             raise ParseError(lineno, f"gate {name} defined twice")
-        try:
-            k = int(toks[2])
-        except ValueError:
-            raise ParseError(lineno, f"bad leg count {toks[2]!r}") from None
-        if not 1 <= k <= 4:
-            raise ParseError(lineno, "matrix gates take 1..4 qubits")
+        if not _DIGITS.match(toks[2]) or toks[2].lstrip("0") not in ("1", "2", "3", "4"):
+            raise ParseError(lineno, f"matrix gates take 1..4 qubits, got {toks[2]!r}")
+        k = int(toks[2])
         d = 2 ** k
         rows = []
         for _ in range(d):
@@ -267,11 +265,9 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(lineno, f"unknown directive {head!r}")
 
     if mode == "net":
-        c = Circuit(wires, gates, mode="net", norm_shift=norm_shift)
-    else:
-        lowered = lower_sequential(SeqDescription(tuple(seq_lines), tuple(seq_ops)))
-        c = Circuit(lowered.wires, lowered.gates, mode="seq", norm_shift=norm_shift)
-    return c
+        return Circuit(wires, gates, norm_shift=norm_shift)
+    lowered = lower_sequential(SeqDescription(tuple(seq_lines), tuple(seq_ops)))
+    return lowered.replace(norm_shift=norm_shift)
 
 
 # ---------------------------------------------------------------------------

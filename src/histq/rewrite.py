@@ -39,7 +39,7 @@ from .circuit import Circuit, GateInstance, Wire, classify_wires
 from .circuit import BoundaryAssignment
 from .engine import transition_amplitude
 from .errors import InterfaceMismatch
-from .gates import BUILTIN, GateDef, Role, phase_gate
+from .gates import BUILTIN, GateDef, phase_gate, phase_value
 
 _XOR = BUILTIN["XOR3"]
 _CANON_H = phase_gate(math.pi, 2, norm_exponent=1)
@@ -98,8 +98,7 @@ def _canonicalize_core(c: Circuit, fuse: bool):
             nc = d.n_legs - 2
             ti, to = find(g.wires[nc]), find(g.wires[nc + 1])
             ni, no = g.negs[nc], g.negs[nc + 1]
-            corner = complex(d.entries[(1,) * d.n_legs])
-            ph = phase_gate(_DIAG_THETA[d.name], nc + 1, value=corner)
+            ph = phase_gate(_DIAG_THETA[d.name], nc + 1)
             if ni != no:
                 out_gates.append(g)          # complemented pair: no plain fusion
                 continue
@@ -121,8 +120,12 @@ def _canonicalize_core(c: Circuit, fuse: bool):
             out_gates.append(g)
     if not changed:
         return c, find, fused
-    gates = tuple(GateInstance(g.gate, tuple(find(w) for w in g.wires), g.negs)
-                  for g in out_gates)
+
+    def renamed(g: GateInstance) -> GateInstance:
+        wires = tuple(find(w) for w in g.wires)
+        return g if wires == g.wires else GateInstance(g.gate, wires, g.negs)
+
+    gates = tuple(map(renamed, out_gates))
     wires = tuple(state[w.name] for w in c.wires if w.name in state)
     return c.replace(wires=wires, gates=gates), find, fused
 
@@ -194,10 +197,11 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
 
 
 def _is_phase_family(d: GateDef) -> bool:
-    if not d.is_symmetric:
+    """What ``phase_gate`` builds from ``d.param``, so a trim can rebuild it."""
+    if not d.is_symmetric or d.param is None:
         return False
     flat = d.entries.reshape(-1)
-    return bool(np.all(flat[:-1] == 1.0) and np.isclose(abs(flat[-1]), 1.0, atol=1e-12))
+    return bool(np.all(flat[:-1] == 1.0) and flat[-1] == phase_value(d.param))
 
 
 def _reads(g: GateInstance, known: dict[str, int]) -> list[int | None]:
@@ -214,22 +218,22 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
     """The step that replaces ``c``'s wires and gates, or None if it would
     move a free boundary end (the removed gate was holding a wire end closed).
 
-    Wires left with no attachments and nothing the query can bind are
-    dropped.  A wire stays if any gate still touches it, if it had a free
-    boundary end going into the step (those are interface), or if
-    contradictory pins make it the reason every amplitude is zero.
+    ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
+    no attachments and nothing the query can bind are dropped.  A wire stays
+    if any gate still touches it, if it had a free boundary end going into
+    the step (those are interface), or if contradictory pins make it the
+    reason every amplitude is zero.
     """
-    ends = c.ends
     attached = {w for g in gates for w in g.wires}
     keep: list[Wire] = []
     orphans: list[str] = []
     for w in c.wires if wires is None else wires:
-        e = ends.get(w.name)
-        free_in = e is not None and e.in_boundary and w.in_value is None
-        free_out = e is not None and e.out_boundary and w.out_value is None
+        e = c.ends[w.name]
+        free_in = e.in_boundary and w.in_value is None
+        free_out = e.out_boundary and w.out_value is None
         contradictory = (w.in_value is not None and w.out_value is not None
                          and w.in_value != w.out_value)
-        if w.name in attached or free_in or free_out or contradictory or e is None:
+        if w.name in attached or free_in or free_out or contradictory:
             keep.append(w)
         else:
             orphans.append(w.name)
@@ -254,9 +258,7 @@ def _drop_dead_step(c: Circuit) -> Step | None:
                             norm_shift=c.norm_shift + d.norm_exponent)
         elif 1 in reads:
             keep = [li for li, r in enumerate(reads) if r is None]
-            corner = complex(d.entries.reshape(-1)[-1])
-            nd = phase_gate(d.param if d.param is not None else 0.0,
-                            len(keep), d.norm_exponent, value=corner)
+            nd = phase_gate(d.param, len(keep), d.norm_exponent)
             trimmed_gate = GateInstance(nd, tuple(g.wires[li] for li in keep),
                                         tuple(g.negs[li] for li in keep))
             step = _rebuild(c, "trim", "", c.gates[:gi] + (trimmed_gate,) + c.gates[gi + 1:])

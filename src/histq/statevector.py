@@ -17,16 +17,21 @@ takes the diagonal.  A complemented read is the entry tensor flipped along
 that leg's axis.  Listed entries are used throughout; the accumulated
 normalization exponent is applied once, after the requested output component
 is read.
+
+The schedule depends on the circuit alone, so it is derived once per circuit
+and kept while the circuit lives; a circuit with none raises on every query.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Amplitude, BoundaryAssignment, Circuit, resolve_boundary
+from .circuit import (Amplitude, BoundaryAssignment, Circuit, attachments,
+                      resolve_boundary)
 from .engine import HARD_MAX_WIRES, resolve_max_wires
 from .errors import MaxWiresExceeded, NonSequential
 from .gates import Role
@@ -36,15 +41,13 @@ HARD_MAX_QUBITS = HARD_MAX_WIRES - 4  # 2^n amplitudes of 16 bytes fit a signed 
 
 @dataclass(frozen=True)
 class SeqPlan:
-    n_qubits: int
-    order: tuple[int, ...]           # gate indices in schedule order
     steps: tuple[tuple[np.ndarray, list[int], list[int]], ...]  # (tensor, leg labels, output labels)
     out_axes: dict[str, int]         # boundary-out wire -> tensor axis
 
 
 def sequential_order(c: Circuit) -> SeqPlan:
     """Schedule the circuit's gates, or raise NonSequential."""
-    ends = c.ends
+    att = attachments(c)
     n_gates = len(c.gates)
     succ: list[set[int]] = [set() for _ in range(n_gates)]
     indeg = [0] * n_gates
@@ -54,10 +57,10 @@ def sequential_order(c: Circuit) -> SeqPlan:
             succ[a].add(b)
             indeg[b] += 1
 
-    for name, e in ends.items():
-        p = e.producer[0] if e.producer else None
-        s = e.consumer[0] if e.consumer else None
-        for t, _ in e.taps:
+    for producer, consumer, taps in att.values():
+        p = producer[0] if producer else None
+        s = consumer[0] if consumer else None
+        for t, _ in taps:
             if p is not None:
                 edge(p, t)
             if s is not None and s != t:   # a control on its own input fails below
@@ -69,12 +72,12 @@ def sequential_order(c: Circuit) -> SeqPlan:
         d = g.gate
         if d.is_matrix_style:
             for li, (w, role) in enumerate(zip(g.wires, d.legs)):
-                if role is Role.IN and ends[w].consumer != (gi, li):
+                if role is Role.IN and att[w][1] != (gi, li):
                     raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
-                if role is Role.OUT and ends[w].producer != (gi, li):
+                if role is Role.OUT and att[w][0] != (gi, li):
                     raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
         elif d.is_symmetric:
-            if not all((gi, li) in ends[w].taps for li, w in enumerate(g.wires)):
+            if not all((gi, li) in att[w][2] for li, w in enumerate(g.wires)):
                 raise NonSequential(
                     f"gate {gi} ({d.name}) binds symmetric legs to wire ends; "
                     "no schedule treats it as an operator")
@@ -121,7 +124,10 @@ def sequential_order(c: Circuit) -> SeqPlan:
         steps.append((ten, labels, out))
 
     out_axes = {w.name: live[w.name] for w in c.output_wires}
-    return SeqPlan(n, tuple(order), tuple(steps), out_axes)
+    return SeqPlan(tuple(steps), out_axes)
+
+
+_PLANS = weakref.WeakKeyDictionary()   # Circuit -> SeqPlan
 
 
 def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
@@ -139,7 +145,9 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
     assignment = resolve_boundary(c, boundary)
     if assignment is None:
         return 0j
-    plan = sequential_order(c)
+    plan = _PLANS.get(c)
+    if plan is None:
+        plan = _PLANS[c] = sequential_order(c)
     axes = list(range(n))
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi[tuple(assignment[w.name] for w in c.input_wires)] = 1.0

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import pytest
 
 from histq import (ParseError, emit_circuit, equivalent, parse_circuit,
-                   validate)
+                   phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
+from histq.circuit import attachments
 from histq.parser import parse_theta
 
 
@@ -16,7 +19,6 @@ def perr(text):
 
 def test_teleportation_structure():
     c = parse_circuit(TELEPORTATION_TEXT)
-    assert c.mode == "seq"
     assert [g.gate.name for g in c.gates] == ["H", "CNOT", "CNOT", "H", "CZ", "CNOT"]
     names = [w.name for w in c.wires]
     assert names == ["x0", "x1", "b0", "b1", "b2", "c0", "c1", "c2", "c3"]
@@ -106,6 +108,38 @@ def test_norm_takes_ascii_digits_only(k):
     assert perr(f"version 1\nmode net\nnorm {k}\nwire a in out\n").line == 3
 
 
+@pytest.mark.parametrize("body, bad_line", [
+    ("matrix M \u0663", 4),            # arabic-indic 3 as the leg count
+    ("matrix M +1", 4),
+    ("matrix M " + "9" * 5000, 4),
+    ("phase \u0661 a", 4),             # arabic-indic 1 as the angle
+    ("phase 1_0 a", 4),
+    ("phase +1 a", 4),
+    ("phase pi/" + "9" * 400, 4),       # a denominator no float holds
+    ("phase pi/" + "9" * 5000, 4),
+    ("matrix M 1\n\u0661:0 0:0\n0:0 1:0", 5),
+    ("matrix M 1\n1:0 0:0\n0:0 1:0_0", 6),
+], ids=["legs-arabic-indic", "legs-plus", "legs-5000-digits", "angle-arabic-indic",
+        "angle-underscore", "angle-plus", "angle-400-digit-denominator",
+        "angle-5000-digit-denominator", "entry-arabic-indic", "entry-underscore"])
+def test_numbers_take_ascii_forms_only(body, bad_line):
+    assert perr(f"version 1\nmode net\nwire a in out\n{body}\nwire z in\n").line == bad_line
+
+
+def test_phase_definitions_are_shared_per_angle():
+    text = "version 1\nmode net\nwire a in\nwire b out\nphase {} a b\n"
+    first, second = (parse_circuit(text.format("pi/4")) for _ in range(2))
+    assert first.gates[0].gate is second.gates[0].gate
+    pos, neg = (parse_circuit(text.format(t)) for t in ("0.0", "-0.0"))
+    assert pos.gates[0].gate is not neg.gates[0].gate
+    assert emit_circuit(pos) == text.format("0.0")
+    assert emit_circuit(neg) == text.format("-0.0")
+    # the table holds definitions weakly: one no circuit uses goes away
+    gone = weakref.ref(phase_gate(0.123, 1))
+    gc.collect()
+    assert gone() is None
+
+
 def test_custom_matrix_block():
     # custom gates bind their output legs first: a is produced, b consumed
     text = ("version 1\nmode net\n"
@@ -113,7 +147,8 @@ def test_custom_matrix_block():
             "wire a out\nwire b in\ngate R a b\n")
     c = parse_circuit(text)
     assert c.gates[0].gate.entries[0, 1] == 1  # row 0 = output bit 0
-    assert c.ends["a"].producer == (0, 0) and c.ends["b"].consumer == (0, 1)
+    att = attachments(c)
+    assert att["a"][0] == (0, 0) and att["b"][1] == (0, 1)
     assert validate(c) == []
 
 

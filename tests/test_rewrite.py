@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (BUILTIN, PASSES, Circuit, GateInstance, InterfaceMismatch, Wire,
+from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateInstance, InterfaceMismatch, Wire,
                    apply_passes, canonicalize, classify_wires,
                    compute_constants, drop_dead_controlled_gates, equivalent,
                    interface, parse_circuit, phase_gate, propagate_constants,
@@ -276,6 +277,26 @@ def test_passes_on_complemented_reads(seed, canonical):
             again, (rep,) = apply_passes(out, [name])
             assert not rep.changed, (name, rep.lines())
             assert again.structural_key() == out.structural_key()
+
+
+# sha256 over the pinned run below, recorded from the implementation whose
+# output every later rewrite must reproduce exactly
+PINNED_REWRITE_DIGEST = "e18fd563be27aad208b04ef195f1fe880781f1d636ff0e883aa5d7d81633f023"
+
+
+def test_default_passes_output_is_pinned():
+    """The emitted circuit and every report line of the default passes, and
+    of each pass alone, on 40 seeded random circuits: a rewrite that is only
+    meant to be faster must leave all of it unchanged."""
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        c = random_circuit(rng, n_max=6, g_max=60)
+        for names in [list(DEFAULT_PASSES)] + [[name] for name in PASSES]:
+            out, reports = apply_passes(c, names)
+            lines = [emit_circuit(out)] + [ln for r in reports for ln in r.lines()]
+            digest.update("\n".join(lines).encode() + b"\0")
+    assert digest.hexdigest() == PINNED_REWRITE_DIGEST
 
 
 def test_equivalent_is_positional():

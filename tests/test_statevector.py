@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import histq.statevector
 from histq import (BoundaryAssignment, Circuit, GateInstance, NonSequential,
                    SeqDescription, SeqLine, amplitude_canonical, evaluate,
                    lower_sequential, parse_circuit, phase_gate)
-from histq.examples import BENT_WIRE_TEXT, THREE_STAGE_TEXT
+from histq.examples import BENT_WIRE_TEXT, TELEPORTATION_TEXT, THREE_STAGE_TEXT
 
 from conftest import THETAS, random_circuit, random_ops, random_query
 
@@ -141,8 +142,21 @@ def test_three_stage_increments():
 
 def test_bent_wire_has_no_schedule():
     c = parse_circuit(BENT_WIRE_TEXT)
-    with pytest.raises(NonSequential):
-        amplitude_canonical(c, BoundaryAssignment())
+    for _ in range(2):   # a failed schedule is not remembered as a success
+        with pytest.raises(NonSequential):
+            amplitude_canonical(c, BoundaryAssignment())
+
+
+def test_schedule_is_derived_once_per_circuit(monkeypatch):
+    scheduled = []
+    real = histq.statevector.sequential_order
+    monkeypatch.setattr(histq.statevector, "sequential_order",
+                        lambda c: scheduled.append(c) or real(c))
+    c = parse_circuit(TELEPORTATION_TEXT)
+    amps = [amplitude_canonical(c, BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": c3}))
+            for c3 in (0, 1)]
+    assert scheduled == [c]
+    assert amps == [0.0, 0.5]
 
 
 def test_xor_netlist_has_no_schedule():
@@ -181,7 +195,7 @@ def test_complemented_legs_and_repeated_taps_match_history_sum(seed):
         wires = rng.choice([(w, w), (w, w, rng.choice(names))])
         gates.append(GateInstance(phase_gate(rng.choice(THETAS), len(wires)), wires,
                                   tuple(rng.random() < 0.3 for _ in wires)))
-    c = Circuit(c.wires, gates, "net")
+    c = Circuit(c.wires, gates)
     q = random_query(rng, c)
     assert abs(amplitude_canonical(c, q) - evaluate(c, q).value) < 1e-10
 
