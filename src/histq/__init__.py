@@ -5,8 +5,7 @@ from .circuit import (Amplitude, BoundaryAssignment, Circuit, GateInstance,
                       gate_factor, lower_sequential, resolve_boundary,
                       validate)
 from .engine import (DEFAULT_MAX_WIRES, Distribution, EvalResult, evaluate,
-                     free_output_ends, memory_probe, output_distribution,
-                     transition_amplitude)
+                     free_output_ends, memory_probe, output_distribution)
 from .errors import (CircuitError, InterfaceMismatch, MaxWiresExceeded,
                      NonSequential, ParseError, UnboundWire, ValidationError)
 from .gates import (BUILTIN, GateDef, Role, check_unitary, matrix_gate,
@@ -26,7 +25,6 @@ __all__ = [
     "gate_factor", "lower_sequential", "resolve_boundary", "validate",
     "DEFAULT_MAX_WIRES", "Distribution", "EvalResult", "evaluate",
     "free_output_ends", "memory_probe", "output_distribution",
-    "transition_amplitude",
     "CircuitError", "InterfaceMismatch", "MaxWiresExceeded", "NonSequential",
     "ParseError", "UnboundWire", "ValidationError",
     "BUILTIN", "GateDef", "Role", "check_unitary", "matrix_gate",

@@ -63,8 +63,7 @@ def _query(c: Circuit, in_bits: str | None, out_bits: str | None) -> BoundaryAss
 
 
 def _engine_opts(args) -> dict:
-    return {"max_wires": args.max_wires, "chunk_size": args.chunk_size,
-            "threads": args.threads}
+    return {"max_wires": args.max_wires, "chunk_size": args.chunk_size}
 
 
 def _emit_report(args, report: dict) -> None:
@@ -197,7 +196,6 @@ def _add_engine_args(p: argparse.ArgumentParser, with_engine: bool = True):
                    help="internal-wire guard (default: HISTQ_MAX_WIRES or 40)")
     p.add_argument("--chunk-size", type=_positive_int, default=None,
                    help="histories held at once, rounded down to a power of two")
-    p.add_argument("--threads", type=_positive_int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

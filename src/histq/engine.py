@@ -31,12 +31,18 @@ run first, so the rest see only surviving lanes.  A run holds at most
 reduced in ascending order whether or not a thread pool is used: threads
 change no bit, while the chunk size may move the last bits of an inexact
 sum.
+
+What the circuit alone fixes — the sorted internal wires, the gate order and
+each gate's entry table and leg reads — is one plan, built on the circuit's
+first query and shared by every later ``evaluate``, so ``output_distribution``
+and ``equivalent`` build it once.  The wire guards run on every query.
 """
 
 from __future__ import annotations
 
 import os
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -68,7 +74,7 @@ def resolve_max_wires(max_wires: int | None) -> int:
     return limit
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _GateSpec:
     table: np.ndarray                    # flat entry table, complex128
     nonzero: np.ndarray | None           # GateDef.nonzero_mask
@@ -77,10 +83,10 @@ class _GateSpec:
     var_legs: tuple[tuple[int, int], ...]  # (history shift, place)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _Prepared:
     internal: tuple[str, ...]
-    specs: list[_GateSpec]
+    specs: tuple[_GateSpec, ...]
     norm_exponent: int
 
 
@@ -96,18 +102,8 @@ class EvalResult:
         return self.amplitude.resolved()
 
 
-def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
-    internal, _ = classify_wires(c)
-    if len(internal) > HARD_MAX_WIRES:
-        raise MaxWiresExceeded(
-            f"{len(internal)} internal wires exceed the hard limit of {HARD_MAX_WIRES} "
-            f"(2^{len(internal)} histories overflow a 64-bit count); no setting raises it")
-    limit = resolve_max_wires(max_wires)
-    if len(internal) > limit:
-        raise MaxWiresExceeded(
-            f"{len(internal)} internal wires exceed the limit of {limit} "
-            f"(2^{len(internal)} histories); raise --max-wires/HISTQ_MAX_WIRES to override")
-    order = sorted(internal)
+def _build_plan(c: Circuit) -> _Prepared:
+    order = sorted(classify_wires(c)[0])
     w = len(order)
     pos = {name: i for i, name in enumerate(order)}  # position 0 is the high bit
     specs = []
@@ -127,7 +123,28 @@ def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
                 ext.append((wire, place))
         specs.append(_GateSpec(g.gate.entries.reshape(-1), g.gate.nonzero_mask,
                                const, tuple(ext), tuple(var)))
-    return _Prepared(tuple(order), specs, c.total_norm_exponent)
+    return _Prepared(tuple(order), tuple(specs), c.total_norm_exponent)
+
+
+_PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared
+
+
+def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
+    """The circuit's plan, built on its first call; the wire guards run on every call."""
+    prep = _PLANS.get(c)
+    if prep is None:
+        prep = _PLANS[c] = _build_plan(c)
+    w = len(prep.internal)
+    if w > HARD_MAX_WIRES:
+        raise MaxWiresExceeded(
+            f"{w} internal wires exceed the hard limit of {HARD_MAX_WIRES} "
+            f"(2^{w} histories overflow a 64-bit count); no setting raises it")
+    limit = resolve_max_wires(max_wires)
+    if w > limit:
+        raise MaxWiresExceeded(
+            f"{w} internal wires exceed the limit of {limit} "
+            f"(2^{w} histories); raise --max-wires/HISTQ_MAX_WIRES to override")
+    return prep
 
 
 def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,11 +247,6 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
         value += v
         accepted += acc
     return EvalResult(Amplitude(value, prep.norm_exponent), prep.internal, total, accepted)
-
-
-def transition_amplitude(c: Circuit, boundary: BoundaryAssignment | None = None,
-                         **opts) -> complex:
-    return evaluate(c, boundary, **opts).value
 
 
 @dataclass

@@ -1,19 +1,11 @@
 """Bundled example circuits.
 
-Each example is kept as circuit-file text (the same bytes the ``examples``
-subcommand writes out) plus a builder returning the parsed Circuit, so the
-file format is the single source of truth.
+Each example is kept only as circuit-file text (the same bytes the
+``examples`` subcommand writes out); callers parse it, so the file format is
+the single source of truth.
 """
 
 from __future__ import annotations
-
-from itertools import product
-
-from .circuit import (BoundaryAssignment, Circuit, SeqDescription, SeqLine,
-                      SeqOp, lower_sequential)
-from .gates import BUILTIN
-from .parser import parse_circuit
-from .statevector import amplitude_canonical
 
 # Coherent state transfer: lines b and c start in a Bell pair (first three
 # gates), the trailing CZ and CNOT replay the usual corrections without
@@ -112,56 +104,3 @@ EXAMPLES = {
     "three-stage-middle": THREE_STAGE_MIDDLE_TEXT,
 }
 
-
-def build_teleportation() -> Circuit:
-    return parse_circuit(TELEPORTATION_TEXT)
-
-
-FROZEN_FIXUP = (("CNOT", ("b2", "d")), ("CZ", ("b1", "d")))
-
-
-def build_superdense(fixup=FROZEN_FIXUP) -> Circuit:
-    """The dense-coding circuit, with the two encoding gates swappable."""
-    ops = [SeqOp(BUILTIN["H"], ("e",)), SeqOp(BUILTIN["CNOT"], ("e", "d"))]
-    ops += [SeqOp(BUILTIN[name], qubits) for name, qubits in fixup]
-    ops += [SeqOp(BUILTIN["CNOT"], ("e", "d")), SeqOp(BUILTIN["H"], ("e",))]
-    lines = (SeqLine("b1", None, None), SeqLine("b2", None, None),
-             SeqLine("d", 0, None), SeqLine("e", 0, None))
-    return lower_sequential(SeqDescription(lines, tuple(ops)))
-
-
-def derive_superdense_fixup() -> tuple:
-    """Search the two-gate encodings for the one that decodes exactly.
-
-    Candidates are ordered pairs of controlled gates from the message bits
-    onto d; the winner makes (d, e) read (b2, b1) with probability one for
-    all four messages.  Used once to pin down FROZEN_FIXUP; kept so the
-    frozen value stays checkable.
-    """
-    singles = [(name, (ctl, "d")) for name in ("CNOT", "CZ") for ctl in ("b1", "b2")]
-    for g1, g2 in product(singles, repeat=2):
-        if g1[1][0] == g2[1][0]:
-            continue
-        candidate = (g1, g2)
-        c = build_superdense(candidate)
-        ok = True
-        for x, y in product((0, 1), repeat=2):
-            want = {"b1": x, "b2": y, "d": y, "e": x}
-            amp = amplitude_canonical(c, BoundaryAssignment(
-                {"b10": x, "b20": y},
-                {f"{n}{_last_cut(c, n)}": b for n, b in want.items()}))
-            if abs(abs(amp) - 1.0) > 1e-12:
-                ok = False
-                break
-        if ok:
-            return candidate
-    raise RuntimeError("no two-gate encoding found")
-
-
-def _last_cut(c: Circuit, line: str) -> int:
-    k = -1
-    prefix = line
-    for w in c.wires:
-        if w.name.startswith(prefix) and w.name[len(prefix):].isdigit():
-            k = max(k, int(w.name[len(prefix):]))
-    return k

@@ -54,6 +54,8 @@ class GateDef:
         a = np.asarray(self.entries, dtype=complex).reshape((2,) * len(self.legs))
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
+        if not np.isfinite(a).all():
+            raise ValueError(f"gate {self.name}: entries must be finite")
         if self.norm_exponent < 0:
             raise ValueError("norm_exponent must be nonnegative")
 
@@ -133,17 +135,16 @@ class GateDef:
 
 def check_unitary(g: GateDef) -> float:
     """Max deviation of U U^dagger from I over all control settings, for the
-    resolved matrix.  Symmetric gates are skipped (no row/column split)."""
+    resolved matrix; ``inf`` when a product overflows.  Symmetric gates are
+    skipped (no row/column split)."""
     if not g.is_matrix_style:
         return 0.0
     if len(g.leg_indices(Role.IN)) != len(g.leg_indices(Role.OUT)):
         raise ValueError(f"gate {g.name}: unbalanced input/output legs")
-    scale = 2.0 ** (-g.norm_exponent / 2.0)
-    worst = 0.0
-    for m in g.blocks():
-        m = m * scale
-        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - np.eye(len(m))))))
-    return worst
+    m = g.blocks() * 2.0 ** (-g.norm_exponent / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(m.shape[1]))))
+    return worst if math.isfinite(worst) else math.inf
 
 
 # ---------------------------------------------------------------------------

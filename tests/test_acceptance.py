@@ -14,7 +14,7 @@ from histq import (BUILTIN, BoundaryAssignment, SeqDescription, SeqLine,
                    SeqOp, amplitude_canonical, canonicalize, cli, equivalent,
                    evaluate, lower_sequential, memory_probe,
                    output_distribution, parse_circuit)
-from histq.examples import EXAMPLES, TELEPORTATION_TEXT
+from histq.examples import EXAMPLES, SUPERDENSE_TEXT, TELEPORTATION_TEXT
 from histq.rewrite import PASSES
 
 from conftest import random_circuit, random_ops, random_query
@@ -98,9 +98,7 @@ def test_criterion_3_teleportation():
 
 
 def test_criterion_4_superdense():
-    from histq.examples import build_superdense, derive_superdense_fixup
-    fixup = derive_superdense_fixup()
-    c = build_superdense(fixup)
+    c = parse_circuit(SUPERDENSE_TEXT)
     worst = 0.0
     for m1 in (0, 1):
         for m2 in (0, 1):
@@ -108,7 +106,7 @@ def test_criterion_4_superdense():
                                    {"b10": m1, "b20": m2, "d4": m2, "e2": m1})
             for amp in (evaluate(c, q).value, amplitude_canonical(c, q)):
                 worst = max(worst, abs(abs(amp) ** 2 - 1.0))
-    verdict(4, worst <= TOL, f"fixup {fixup}, worst |p-1| = {worst:.3e}")
+    verdict(4, worst <= TOL, f"worst |p-1| = {worst:.3e}")
 
 
 def test_criterion_5_rewrite_preservation():

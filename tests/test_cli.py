@@ -207,13 +207,20 @@ def test_dense_engine_wire_guard(tmp_path, capsys, cmd, n, limit, msg):
     assert msg in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--chunk-size", "--threads", "--max-wires"])
+@pytest.mark.parametrize("flag", ["--chunk-size", "--max-wires"])
 @pytest.mark.parametrize("value", ["-1", "0", "x"])
 def test_engine_knobs_must_be_positive(teleport, capsys, flag, value):
     with pytest.raises(SystemExit) as ei:
         cli.main(["run", teleport, "--in", "0--", "--out", "000", flag, value])
     assert ei.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_threads_flag_is_a_usage_error(teleport, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["run", teleport, "--in", "0--", "--out", "000", "--threads", "2"])
+    assert ei.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

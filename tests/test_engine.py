@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
                    Circuit, GateInstance, SeqDescription, SeqLine, SeqOp, Wire,
-                   amplitude_canonical, classify_wires, evaluate,
+                   amplitude_canonical, classify_wires, equivalent, evaluate,
                    free_output_ends, gate_factor, lower_sequential,
                    memory_probe, output_distribution, parse_circuit,
                    phase_gate, resolve_boundary)
@@ -255,6 +255,21 @@ def test_wire_guard(monkeypatch):
     assert r.value == 1
     monkeypatch.delenv("HISTQ_MAX_WIRES")
     assert resolve_max_wires(None) == 40
+
+
+def test_plan_is_built_once_per_circuit(monkeypatch):
+    built = []
+    real = engine._build_plan
+    monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
+    c = parse_circuit(TELEPORTATION_TEXT)
+    q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
+    first, second = evaluate(c, q), evaluate(c, q)
+    assert output_distribution(c, BoundaryAssignment({"x0": 1})).total == 1.0
+    assert equivalent(c, c) == (True, 0.0)
+    assert built == [c]
+    assert first.internal_wires is second.internal_wires
+    with pytest.raises(MaxWiresExceeded):
+        evaluate(c, q, max_wires=len(first.internal_wires) - 1)
 
 
 def test_transition_probability():

@@ -1,9 +1,10 @@
+from itertools import product
+
 import pytest
 
 from histq import (BoundaryAssignment, NonSequential, amplitude_canonical,
                    classify_wires, evaluate, parse_circuit, validate)
-from histq.examples import (EXAMPLES, FROZEN_FIXUP, build_superdense,
-                            build_teleportation, derive_superdense_fixup)
+from histq.examples import EXAMPLES, SUPERDENSE_TEXT, TELEPORTATION_TEXT
 
 
 def test_examples_parse_clean():
@@ -13,7 +14,7 @@ def test_examples_parse_clean():
 
 
 def test_teleportation_delivers_the_data_bit():
-    c = build_teleportation()
+    c = parse_circuit(TELEPORTATION_TEXT)
     for x in (0, 1):
         for p in (0, 1):
             for q in (0, 1):
@@ -26,7 +27,7 @@ def test_teleportation_delivers_the_data_bit():
 
 
 def test_superdense_recovers_both_bits():
-    c = build_superdense()
+    c = parse_circuit(SUPERDENSE_TEXT)
     for m1 in (0, 1):
         for m2 in (0, 1):
             q = BoundaryAssignment(
@@ -36,8 +37,33 @@ def test_superdense_recovers_both_bits():
                 assert abs(abs(amp) ** 2 - 1.0) < 1e-12
 
 
-def test_superdense_fixup_is_the_derived_one():
-    assert derive_superdense_fixup() == FROZEN_FIXUP
+def _decodes_all_messages(text: str) -> bool:
+    """(d, e) read (b2, b1) with certainty for all four messages (b1, b2)."""
+    c = parse_circuit(text)
+    for b1, b2 in product((0, 1), repeat=2):
+        q = BoundaryAssignment({"b10": b1, "b20": b2},
+                               {"b10": b1, "b20": b2, "d4": b2, "e2": b1})
+        if abs(abs(amplitude_canonical(c, q)) - 1.0) > 1e-12:
+            return False
+    return True
+
+
+def test_superdense_encoding_is_the_first_that_decodes():
+    # put each ordered pair of controlled gates from distinct message bits
+    # onto d in the two encoding lines; the text's own pair decodes first
+    lines = SUPERDENSE_TEXT.splitlines(keepends=True)
+    own = ["apply CNOT b2 d\n", "apply CZ b1 d\n"]
+    encoding = [lines.index(line) for line in own]
+    singles = [f"apply {g} {ctl} d\n" for g in ("CNOT", "CZ") for ctl in ("b1", "b2")]
+    for pair in product(singles, repeat=2):
+        if pair[0].split()[2] == pair[1].split()[2]:
+            continue
+        for i, line in zip(encoding, pair):
+            lines[i] = line
+        if _decodes_all_messages("".join(lines)):
+            assert list(pair) == own
+            return
+    pytest.fail("no two-gate encoding decodes all four messages")
 
 
 def test_bent_wire_is_a_trace():

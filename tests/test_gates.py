@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from histq import (BUILTIN, GateDef, Role, check_unitary, matrix_gate,
-                   phase_gate, phase_value, xor_gate)
+from histq import (BUILTIN, GateDef, Role, SeqDescription, SeqLine, SeqOp,
+                   check_unitary, lower_sequential, matrix_gate, phase_gate,
+                   phase_value, validate, xor_gate)
 
 
 def test_hadamard_listed_entries():
@@ -101,6 +102,20 @@ def test_check_unitary():
     assert check_unitary(BUILTIN["TOFFOLI"]) < 1e-12
     bad = matrix_gate("BAD", np.array([[1, 1], [0, 1]]))
     assert check_unitary(bad) > 0.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
+def test_gate_entries_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        matrix_gate("M", [[bad, 0], [0, 1]])
+
+
+def test_overflowing_deviation_is_inf():
+    # (1e308+1e308j) times its conjugate has an inf - inf, so a NaN, imaginary part
+    g = matrix_gate("M", [[1e308 + 1e308j, 0], [0, 1]])
+    assert check_unitary(g) == math.inf
+    c = lower_sequential(SeqDescription((SeqLine("a"),), (SeqOp(g, ("a",)),)))
+    assert validate(c) == ["gate 0 (M): not unitary (deviation inf)"]
 
 
 def test_custom_leg_order():

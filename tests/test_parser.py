@@ -3,9 +3,10 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from histq import (ParseError, emit_circuit, equivalent, parse_circuit,
-                   phase_gate, validate)
+from histq import (CircuitError, ParseError, emit_circuit, equivalent,
+                   parse_circuit, phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
@@ -205,3 +206,45 @@ def test_emit_folds_phase_norms():
 def test_comments_and_blank_lines_ignored():
     c = parse_circuit("version 1\n# a comment\nmode net\n\nwire a in out\n")
     assert len(c.wires) == 1
+
+
+_DIRECTIVES = ["wire", "qubit", "gate", "apply", "matrix", "phase", "norm", "mode"]
+_TOKENS = ["1e308", "-1e308", "1e308:0", "0:1e308", "1e309", "pi/0", "pi/-0",
+           "~a", "~", "nan", "inf", "-inf", "nan:0", "in=1", "in=2", "out=0",
+           "out=", "in", "out", "a", "b", "x", "H", "CNOT", "XOR3", "PHASE",
+           "0", "1", "4", "5", "-1", "1:0", "0:0", "pi/2", "-pi", "#"]
+
+
+@st.composite
+def mutated_examples(draw):
+    """A bundled example whose lines after the header get lines inserted,
+    deleted or replaced, or one token replaced."""
+    lines = draw(st.sampled_from(sorted(EXAMPLES.values()))).splitlines()
+    tokens = st.sampled_from(_TOKENS + _DIRECTIVES)
+    new_line = st.builds(lambda d, rest: " ".join([d, *rest]), st.sampled_from(_DIRECTIVES),
+                         st.lists(tokens, max_size=4)) | st.sampled_from(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(2, len(lines) - 1)) if len(lines) > 2 else len(lines)
+        op = draw(st.sampled_from(("splice", "insert", "delete", "replace")))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(new_line))
+        elif op == "delete":
+            del lines[i]
+        elif op == "replace":
+            lines[i] = draw(new_line)
+        else:
+            toks = lines[i].split()
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(tokens)
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_examples() | st.text())
+def test_bad_text_raises_only_circuit_errors(text):
+    # warnings are errors under the test settings, so an overflow leaking
+    # out of parse or validate fails here too
+    try:
+        validate(parse_circuit(text))
+    except CircuitError:
+        pass
