@@ -206,7 +206,7 @@ def gate_factor(g: GateInstance, history: Mapping[str, int]) -> complex:
     return complex(g.gate.entries[idx])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Amplitude:
     """Sum of listed history products plus the circuit's normalization
     exponent.  ``resolved()`` applies the single 2^(-K/2) scaling."""

@@ -6,10 +6,15 @@ gate entries selected by each history, times 2^(-K/2) for the circuit's total
 normalization exponent K.  Nothing here requires, or checks, that the circuit
 has a gate schedule — feedback netlists evaluate the same way.
 
-Histories are numbered by a w-bit counter.  The chunk size, rounded down to
-a power of two 2^low (at most 2^w), splits it into low ``low`` bits and a
-block number holding the high bits.  Each gate reads only low bits, only
-high bits, or both ("mixed"), and the sum runs in three stages:
+Histories are numbered by a w-bit counter, split into its low ``low`` bits
+and a block number holding the high bits.  By default the plan picks
+``low`` (at most 16) once per circuit, as the split with the least
+estimated work: lanes of gate work in each stage plus a fixed cost per
+numpy call.  An explicit chunk size fixes it instead, rounded down to a
+power of two 2^low (at most 2^w).  A gate that reads no internal wire is
+one factor for every history, multiplied in once per query; if it is an
+exact zero no history survives.  Every other gate reads only low bits,
+only high bits, or both ("mixed"), and the sum runs in three stages:
 
 * low stage: the low-only gates run once over the 2^low low patterns.  Of
   the low bits only the m that some mixed gate reads matter afterwards, so
@@ -27,13 +32,13 @@ A gate's entry index is a constant (external bits and complemented reads)
 XORed with shifted lane bits; lanes whose factor is an exact zero are
 dropped from later gates.  Within each stage the gates with a zero entry
 run first, so the rest see only surviving lanes.  A run holds at most
-2^low lanes and at least one block, so memory stays O(chunk).  Runs are
+2^low lanes and at least one block, so memory stays O(2^low).  Runs are
 reduced in ascending order whether or not a thread pool is used: threads
-change no bit, while the chunk size may move the last bits of an inexact
-sum.
+change no bit, while the split may move the last bits of an inexact sum.
 
-What the circuit alone fixes — the sorted internal wires, the gate order and
-each gate's entry table and leg reads — is one plan, built on the circuit's
+What the circuit alone fixes — the sorted internal wires, the gate order,
+each gate's entry table and leg reads, and the default split with the
+gates grouped by stage — is one plan, built on the circuit's
 first query and shared by every later ``evaluate``, so ``output_distribution``
 and ``equivalent`` build it once.  The wire guards run on every query.
 """
@@ -43,7 +48,6 @@ from __future__ import annotations
 import os
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product as _bitproduct
@@ -56,7 +60,7 @@ from .errors import MaxWiresExceeded, ValidationError
 
 DEFAULT_MAX_WIRES = 40
 HARD_MAX_WIRES = 62    # 2^63 histories no longer fit a signed 64-bit count
-DEFAULT_CHUNK = 1 << 16
+MAX_LOW = 16           # the default split holds at most 2^16 lanes
 
 
 def resolve_max_wires(max_wires: int | None) -> int:
@@ -84,13 +88,32 @@ class _GateSpec:
 
 
 @dataclass(frozen=True, slots=True)
+class _Split:
+    """The plan's gates grouped for one split point ``low``.  Each group
+    holds ``(spec, legs)`` pairs whose legs read ``(bit, place)`` in that
+    stage's lane numbering; ``reads`` are the low bits mixed gates read."""
+    low: int
+    scalar: tuple[_GateSpec, ...]        # read no internal wire
+    low_only: tuple[tuple[_GateSpec, tuple], ...]
+    high_only: tuple[tuple[_GateSpec, tuple], ...]
+    cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
+    reads: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class _Prepared:
     internal: tuple[str, ...]
     specs: tuple[_GateSpec, ...]
     norm_exponent: int
+    histories: int                       # 2^w
+    split: _Split                        # the default split, chosen by cost
+
+    @property
+    def low(self) -> int:
+        return self.split.low
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalResult:
     amplitude: Amplitude
     internal_wires: tuple[str, ...]
@@ -100,6 +123,53 @@ class EvalResult:
     @property
     def value(self) -> complex:
         return self.amplitude.resolved()
+
+
+def _split(specs, low: int) -> _Split:
+    scalar, low_only, high_only, mixed = [], [], [], []
+    for spec in specs:
+        low_legs = tuple((s, p) for s, p in spec.var_legs if s < low)
+        high_legs = tuple((s - low, p) for s, p in spec.var_legs if s >= low)
+        if not spec.var_legs:
+            scalar.append(spec)
+        elif not high_legs:
+            low_only.append((spec, low_legs))
+        elif not low_legs:
+            high_only.append((spec, high_legs))
+        else:
+            mixed.append((spec, low_legs, high_legs))
+    reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
+    slot = {s: r for r, s in enumerate(reads)}
+    cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
+              + tuple((len(reads) + s, p) for s, p in high_legs))
+             for spec, low_legs, high_legs in mixed]
+    return _Split(low, tuple(scalar), tuple(low_only), tuple(high_only),
+                  tuple(cross), tuple(reads))
+
+
+# The fixed cost of one numpy call, in lanes of one gate's work.
+_CALL_LANES = 600
+
+
+def _split_cost(shifts: list[tuple[int, ...]], w: int, low: int) -> int:
+    """Estimated lanes of gate work for one query split at ``low``, given each
+    gate's history shifts (gates that read no internal wire are left out)."""
+    n_low = n_high = n_mixed = 0
+    reads = set()
+    for legs in shifts:
+        if legs[-1] < low:               # legs are sorted
+            n_low += 1
+        elif legs[0] >= low:
+            n_high += 1
+        else:
+            n_mixed += 1
+            reads.update(s for s in legs if s < low)
+    m = len(reads)
+    blocks = 1 << (w - low)
+    runs = -(-blocks // max(1, (1 << low) >> m))
+    # the low stage adds an arange, the key packing and three bincounts
+    return ((1 << low) * (n_low + 4) + blocks * n_high + (blocks << m) * n_mixed
+            + runs * (n_high + n_mixed + 8) * _CALL_LANES)
 
 
 def _build_plan(c: Circuit) -> _Prepared:
@@ -123,7 +193,11 @@ def _build_plan(c: Circuit) -> _Prepared:
                 ext.append((wire, place))
         specs.append(_GateSpec(g.gate.entries.reshape(-1), g.gate.nonzero_mask,
                                const, tuple(ext), tuple(var)))
-    return _Prepared(tuple(order), tuple(specs), c.total_norm_exponent)
+    shifts = [tuple(sorted(s for s, _ in spec.var_legs)) for spec in specs if spec.var_legs]
+    low = min(range(min(w, MAX_LOW) + 1),
+              key=lambda low: _split_cost(shifts, w, low))
+    return _Prepared(tuple(order), tuple(specs), c.total_norm_exponent, 1 << w,
+                     _split(specs, low))
 
 
 _PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared
@@ -145,6 +219,13 @@ def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
             f"{w} internal wires exceed the limit of {limit} "
             f"(2^{w} histories); raise --max-wires/HISTQ_MAX_WIRES to override")
     return prep
+
+
+def _const(spec: _GateSpec, assignment: dict[str, int]) -> int:
+    const = spec.const_base
+    for wire, place in spec.ext_legs:
+        const ^= assignment[wire] << place
+    return const
 
 
 def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,41 +255,41 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
              threads: int | None = None) -> EvalResult:
     """Sum all histories for one fully bound boundary query.
 
-    ``chunk_size`` bounds the lanes held at once, rounded down to a power of
-    two; ``threads`` sums runs of blocks in a pool.  Threads change no bit of
-    the result; the chunk size may change the last bits of an inexact sum.
+    By default the split point is the plan's, chosen by cost.  ``chunk_size``
+    fixes it instead: it bounds the lanes held at once, rounded down to a
+    power of two.  ``threads`` sums runs of blocks in a pool.  Threads change
+    no bit of the result; the split may change the last bits of an inexact
+    sum.
     """
     prep = prepare(c, max_wires)
     assignment = resolve_boundary(c, boundary or BoundaryAssignment())
-    w = len(prep.internal)
-    total = 1 << w
     if assignment is None:
-        return EvalResult(Amplitude(0j, prep.norm_exponent), prep.internal, total, 0)
-    chunk = DEFAULT_CHUNK if chunk_size is None else chunk_size
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
-    low = min(w, chunk.bit_length() - 1)
-    low_only, high_only, mixed = [], [], []
-    for spec in prep.specs:
-        const = spec.const_base
-        for wire, place in spec.ext_legs:
-            const ^= assignment[wire] << place
-        low_legs = tuple((s, p) for s, p in spec.var_legs if s < low)
-        high_legs = tuple((s - low, p) for s, p in spec.var_legs if s >= low)
-        if not high_legs:
-            low_only.append((spec, const, low_legs))
-        elif not low_legs:
-            high_only.append((spec, const, high_legs))
-        else:
-            mixed.append((spec, const, low_legs, high_legs))
+        return _result(prep, 0j, 0)
+    split = prep.split
+    if chunk_size is not None:
+        if chunk_size < 1:
+            raise ValueError("chunk size must be positive")
+        low = min(len(prep.internal), chunk_size.bit_length() - 1)
+        if low != split.low:
+            split = _split(prep.specs, low)
+    low = split.low
+
+    # gates that read no internal wire: one factor for every history
+    scalar = 1 + 0j
+    for spec in split.scalar:
+        const = _const(spec, assignment)
+        if spec.nonzero is not None and not spec.nonzero[const]:
+            return _result(prep, 0j, 0)
+        scalar *= complex(spec.table[const])
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
-    reads = sorted({s for _, _, low_legs, _ in mixed for s, _ in low_legs})
-    m = len(reads)
-    h, vals = _run_gates(low_only, np.arange(1 << low, dtype=np.int64),
+    m = len(split.reads)
+    h, vals = _run_gates([(spec, _const(spec, assignment), legs)
+                          for spec, legs in split.low_only],
+                         np.arange(1 << low, dtype=np.int64),
                          np.ones(1 << low, dtype=np.complex128))
     key = np.zeros(len(h), dtype=np.int64)
-    for r, s in enumerate(reads):
+    for r, s in enumerate(split.reads):
         key |= ((h >> s) & 1) << r
     counts = np.bincount(key, minlength=1 << m)
     marg = np.empty(1 << m, dtype=np.complex128)
@@ -217,14 +298,12 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     del h, vals, key
     keys = np.flatnonzero(counts)
     if len(keys) == 0:
-        return EvalResult(Amplitude(0j, prep.norm_exponent), prep.internal, total, 0)
+        return _result(prep, 0j, 0)
     marg = marg[keys]
-    slot = {s: r for r, s in enumerate(reads)}
-    cross = [(spec, const, tuple((slot[s], p) for s, p in low_legs)
-              + tuple((m + s, p) for s, p in high_legs))
-             for spec, const, low_legs, high_legs in mixed]
+    high_only = [(spec, _const(spec, assignment), legs) for spec, legs in split.high_only]
+    cross = [(spec, _const(spec, assignment), legs) for spec, legs in split.cross]
 
-    blocks = total >> low
+    blocks = prep.histories >> low
     per_run = max(1, (1 << low) // len(keys))
 
     def run_sum(j0: int) -> tuple[complex, int]:
@@ -237,6 +316,7 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
 
     runs = range(0, blocks, per_run)
     if threads and threads > 1 and len(runs) > 1:
+        from concurrent.futures import ThreadPoolExecutor   # only a pool needs it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_sum, runs))
     else:
@@ -246,7 +326,12 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     for v, acc in parts:
         value += v
         accepted += acc
-    return EvalResult(Amplitude(value, prep.norm_exponent), prep.internal, total, accepted)
+    return _result(prep, value * scalar, accepted)
+
+
+def _result(prep: _Prepared, value: complex, accepted: int) -> EvalResult:
+    return EvalResult(Amplitude(value, prep.norm_exponent), prep.internal,
+                      prep.histories, accepted)
 
 
 @dataclass

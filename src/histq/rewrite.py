@@ -423,8 +423,9 @@ def equivalent(a: Circuit, b: Circuit, *, tol: float = 1e-10,
     position i of one circuit's free inputs is queried together with
     position i of the other's.  Exhaustive over all assignments when there
     are at most eight free bits, sampled otherwise.  Returns (within
-    tolerance, largest deviation seen).  Raises InterfaceMismatch when the
-    end counts differ — there is nothing meaningful to compare then.
+    tolerance, largest deviation seen), or (False, inf) at the first
+    non-finite deviation.  Raises InterfaceMismatch when the end counts
+    differ — there is nothing meaningful to compare then.
     """
     ins_a, outs_a = interface(a)
     ins_b, outs_b = interface(b)
@@ -447,5 +448,8 @@ def equivalent(a: Circuit, b: Circuit, *, tol: float = 1e-10,
         # through the module, so a wrapper installed on engine.evaluate sees it
         va = engine.evaluate(a, query(ins_a, outs_a)).value
         vb = engine.evaluate(b, query(ins_b, outs_b)).value
-        worst = max(worst, abs(va - vb))
+        dev = abs(va - vb)
+        if not math.isfinite(dev):   # NaN would lose every comparison in max()
+            return False, math.inf
+        worst = max(worst, dev)
     return worst <= tol, worst

@@ -112,9 +112,10 @@ def test_chunking_on_phase_circuit():
 
 
 @st.composite
-def split_cases(draw, max_lines=5, max_ops=10):
+def split_cases(draw, max_lines=5, max_ops=10, lone_lines=0):
     """A random circuit on 2 to ``max_lines`` lines, a full query and a
-    power-of-two chunk."""
+    power-of-two chunk.  With ``lone_lines``, 1 to that many more lines
+    each carry a single gate, which reads only boundary ends."""
     n = draw(st.integers(2, max_lines))
     names = [f"q{i}" for i in range(n)]
     pools = [POOL1, POOL2] + ([POOL3] if n >= 3 else [])
@@ -129,6 +130,14 @@ def split_cases(draw, max_lines=5, max_ops=10):
             k = len(gate.qubit_slots())
         qubits = draw(st.permutations(names))[:k]
         ops.append(SeqOp(gate, tuple(qubits)))
+    lone = [f"e{i}" for i in range(draw(st.integers(min(1, lone_lines), lone_lines)))]
+    names += lone
+    while lone:
+        if len(lone) >= 2 and draw(st.booleans()):
+            op = SeqOp(BUILTIN[draw(st.sampled_from(POOL2))], (lone.pop(), lone.pop()))
+        else:
+            op = SeqOp(BUILTIN[draw(st.sampled_from(POOL1))], (lone.pop(),))
+        ops.insert(draw(st.integers(0, len(ops))), op)
     lines = tuple(SeqLine(nm, draw(st.sampled_from([None, 0, 1])),
                           draw(st.sampled_from([None, 0, 1]))) for nm in names)
     c = lower_sequential(SeqDescription(lines, tuple(ops)))
@@ -181,11 +190,56 @@ def test_three_stage_sum_matches_brute_force(case):
     c, q, pow2 = case
     assume(len(classify_wires(c)[0]) <= 10)
     want, accepted = brute_force(c, q)
-    for chunk in (1, 2, 4, pow2):
+    for chunk in (1, 2, 4, pow2, None):
         for threads in (None, 2):
             r = evaluate(c, q, chunk_size=chunk, threads=threads)
             assert abs(r.value - want) <= 1e-12
             assert r.accepted == accepted
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cases(max_lines=4, max_ops=12, lone_lines=3))
+def test_default_split_folds_boundary_only_gates(case):
+    c, q, _ = case
+    w = len(classify_wires(c)[0])
+    assume(w <= 10)
+    prep = engine.prepare(c)
+    assert 0 <= prep.low <= min(w, 16)
+    # each lone line's gate reads no internal wire: one factor per query
+    assert prep.split.scalar
+    want, accepted = brute_force(c, q)
+    r = evaluate(c, q)
+    assert abs(r.value - want) <= 1e-12
+    assert r.accepted == accepted
+
+
+def test_default_split_below_w_matches_fixed_split():
+    # 28 gates on 6 lines give w = 13, where the cost model splits below w
+    # (the fixed 2^16 split holds every history in one block)
+    rng = random.Random(3)
+    names = [f"q{i}" for i in range(6)]
+    ops = []
+    for _ in range(28):
+        r = rng.random()
+        if r < 0.5:
+            ops.append(SeqOp(BUILTIN[rng.choice(["H", "H", "X", "T"])], (rng.choice(names),)))
+        elif r < 0.8:
+            ops.append(SeqOp(BUILTIN[rng.choice(["CNOT", "CZ"])], tuple(rng.sample(names, 2))))
+        else:
+            ops.append(SeqOp(phase_gate(0.7, 2), tuple(rng.sample(names, 2))))
+    c = lower_sequential(SeqDescription(tuple(SeqLine(nm, 0) for nm in names), tuple(ops)))
+    w = len(classify_wires(c)[0])
+    assert w == 13 and engine.prepare(c).low < w
+    hits = 0
+    for bits in range(1 << len(names)):
+        q = BoundaryAssignment({}, {e.name: (bits >> i) & 1
+                                    for i, e in enumerate(c.output_wires)})
+        chosen, fixed = evaluate(c, q), evaluate(c, q, chunk_size=1 << 16)
+        assert chosen.accepted == fixed.accepted
+        assert abs(chosen.value - fixed.value) <= 1e-12
+        assert abs(chosen.value - amplitude_canonical(c, q)) <= 1e-12
+        hits += chosen.accepted > 0
+    assert hits > 1
 
 
 def test_cancelled_marginal_still_accepted():

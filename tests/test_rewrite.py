@@ -2,14 +2,15 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateInstance, InterfaceMismatch, Wire,
-                   apply_passes, canonicalize, classify_wires,
-                   compute_constants, drop_dead_controlled_gates, equivalent,
-                   interface, parse_circuit, phase_gate, propagate_constants,
-                   short_xor_constant, validate)
+from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateInstance, InterfaceMismatch,
+                   SeqDescription, SeqLine, SeqOp, Wire, apply_passes, canonicalize,
+                   classify_wires, compute_constants, drop_dead_controlled_gates,
+                   equivalent, interface, lower_sequential, matrix_gate, parse_circuit,
+                   phase_gate, propagate_constants, short_xor_constant, validate)
 from histq.examples import TELEPORTATION_TEXT
 from histq.parser import emit_circuit
 
@@ -318,3 +319,13 @@ def test_equivalent_rejects_mismatched_interfaces():
     b = net("wire p in out\nwire q in out\n")
     with pytest.raises(InterfaceMismatch):
         equivalent(a, b)
+
+
+def test_equivalent_reads_a_non_finite_deviation_as_a_failure():
+    # 1e200 squared overflows: the amplitude is not finite, and a NaN
+    # deviation must not compare as 0.0
+    big = matrix_gate("B", [[1e200, 0], [0, 1e200]])
+    c = lower_sequential(SeqDescription((SeqLine("a"),),
+                                        (SeqOp(big, ("a",)), SeqOp(big, ("a",)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert equivalent(c, c) == (False, math.inf)
