@@ -28,7 +28,7 @@ from .errors import UnboundWire, ValidationError
 from .gates import GateDef, Role, check_unitary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wire:
     name: str
     in_bound: bool = False          # begins at the circuit boundary
@@ -43,21 +43,30 @@ class Wire:
             object.__setattr__(self, "out_bound", True)
 
 
-@dataclass(frozen=True)
+# One shared tuple per complement pattern: most gates read no wire
+# complemented, and n legs allow at most 2^n patterns.
+_NEGS: dict[tuple[bool, ...], tuple[bool, ...]] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class GateInstance:
     gate: GateDef
     wires: tuple[str, ...]
     negs: tuple[bool, ...] = ()  # per-leg complemented reads (from NOT-merges)
 
     def __post_init__(self):
-        if len(self.wires) != self.gate.n_legs:
+        n = self.gate.n_legs
+        if len(self.wires) != n:
             raise ValidationError(
-                f"gate {self.gate.name} has {self.gate.n_legs} legs, got "
-                f"{len(self.wires)} wires")
-        if not self.negs:
-            object.__setattr__(self, "negs", (False,) * self.gate.n_legs)
-        elif len(self.negs) != self.gate.n_legs:
-            raise ValidationError("negation flags must match leg count")
+                f"gate {self.gate.name} has {n} legs, got {len(self.wires)} wires")
+        negs = self.negs
+        if len(negs) != n:
+            if negs:
+                raise ValidationError("negation flags must match leg count")
+            negs = (False,) * n
+        shared = _NEGS.setdefault(negs, negs)
+        if shared is not self.negs:
+            object.__setattr__(self, "negs", shared)
 
 
 @dataclass(frozen=True)
@@ -86,21 +95,24 @@ class Circuit:
         self.gates: tuple[GateInstance, ...] = tuple(gates)
         self.norm_shift = int(norm_shift)
         names = [w.name for w in self.wires]
-        if len(set(names)) != len(names):
+        declared = set(names)
+        if len(declared) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate wire declaration: {', '.join(dup)}")
-        self._index = {w.name: w for w in self.wires}
         for g in self.gates:
-            for wname in g.wires:
-                if wname not in self._index:
-                    raise ValidationError(
-                        f"gate {g.gate.name} bound to undeclared wire {wname}")
+            if not declared.issuperset(g.wires):
+                wname = next(w for w in g.wires if w not in declared)
+                raise ValidationError(f"gate {g.gate.name} bound to undeclared wire {wname}")
 
     def wire(self, name: str) -> Wire:
-        return self._index[name]
+        """The wire declared as ``name``; KeyError if there is none."""
+        for w in self.wires:
+            if w.name == name:
+                return w
+        raise KeyError(name)
 
     def has_wire(self, name: str) -> bool:
-        return name in self._index
+        return name in self.ends
 
     def replace(self, wires=None, gates=None, norm_shift=None) -> "Circuit":
         return Circuit(self.wires if wires is None else wires,
@@ -237,9 +249,9 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
     """
     for side, bits in (("input", b.in_bits), ("output", b.out_bits)):
         for name in bits:
-            if not c.has_wire(name):
+            e = c.ends.get(name)
+            if e is None:
                 raise UnboundWire(f"no wire named {name}")
-            e = c.ends[name]
             if not (e.in_boundary if side == "input" else e.out_boundary):
                 raise ValidationError(f"wire {name} has no boundary {side} end")
     values: dict[str, int] = {}

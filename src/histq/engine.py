@@ -80,7 +80,7 @@ def resolve_max_wires(max_wires: int | None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class _GateSpec:
-    table: np.ndarray                    # flat entry table, complex128
+    table: np.ndarray                    # GateDef.table, shared per definition
     nonzero: np.ndarray | None           # GateDef.nonzero_mask
     const_base: int                      # external + complement bits, pre-packed
     ext_legs: tuple[tuple[str, int], ...]  # (wire, place) still to fill per query
@@ -89,12 +89,13 @@ class _GateSpec:
 
 @dataclass(frozen=True, slots=True)
 class _Split:
-    """The plan's gates grouped for one split point ``low``.  Each group
-    holds ``(spec, legs)`` pairs whose legs read ``(bit, place)`` in that
-    stage's lane numbering; ``reads`` are the low bits mixed gates read."""
+    """The plan's gates grouped for one split point ``low``.  The high and
+    cross groups hold ``(spec, legs)`` pairs whose legs read ``(bit, place)``
+    in that stage's lane numbering; a low-only gate reads its own
+    ``var_legs``.  ``reads`` are the low bits mixed gates read."""
     low: int
     scalar: tuple[_GateSpec, ...]        # read no internal wire
-    low_only: tuple[tuple[_GateSpec, tuple], ...]
+    low_only: tuple[_GateSpec, ...]
     high_only: tuple[tuple[_GateSpec, tuple], ...]
     cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
     reads: tuple[int, ...]
@@ -128,16 +129,18 @@ class EvalResult:
 def _split(specs, low: int) -> _Split:
     scalar, low_only, high_only, mixed = [], [], [], []
     for spec in specs:
-        low_legs = tuple((s, p) for s, p in spec.var_legs if s < low)
-        high_legs = tuple((s - low, p) for s, p in spec.var_legs if s >= low)
-        if not spec.var_legs:
+        legs = spec.var_legs
+        low_legs = tuple(leg for leg in legs if leg[0] < low)
+        if not legs:
             scalar.append(spec)
-        elif not high_legs:
-            low_only.append((spec, low_legs))
-        elif not low_legs:
-            high_only.append((spec, high_legs))
+        elif len(low_legs) == len(legs):
+            low_only.append(spec)
         else:
-            mixed.append((spec, low_legs, high_legs))
+            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
+            if low_legs:
+                mixed.append((spec, low_legs, high_legs))
+            else:
+                high_only.append((spec, high_legs))
     reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
     slot = {s: r for r, s in enumerate(reads)}
     cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
@@ -191,7 +194,7 @@ def _build_plan(c: Circuit) -> _Prepared:
                 var.append((w - 1 - pos[wire], place))
             else:
                 ext.append((wire, place))
-        specs.append(_GateSpec(g.gate.entries.reshape(-1), g.gate.nonzero_mask,
+        specs.append(_GateSpec(g.gate.table, g.gate.nonzero_mask,
                                const, tuple(ext), tuple(var)))
     shifts = [tuple(sorted(s for s, _ in spec.var_legs)) for spec in specs if spec.var_legs]
     low = min(range(min(w, MAX_LOW) + 1),
@@ -231,13 +234,16 @@ def _const(spec: _GateSpec, assignment: dict[str, int]) -> int:
 def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiply each ``(spec, const, legs)`` factor into ``vals``, lane by lane.
 
-    ``h`` holds each lane's bits, which ``legs`` read by ``(shift, place)``;
-    lanes whose factor is an exact zero are dropped.
+    ``h`` holds each lane's bits, which ``legs`` (at least one) read by
+    ``(shift, place)``; lanes whose factor is an exact zero are dropped.
     """
     for spec, const, legs in gates:
-        idx = np.full(len(h), const, dtype=np.int64)
-        for shift, place in legs:
+        (shift, place), *rest = legs
+        idx = ((h >> shift) & 1) << place
+        for shift, place in rest:
             idx ^= ((h >> shift) & 1) << place
+        if const:
+            idx ^= const
         vals = vals * spec.table[idx]
         if spec.nonzero is None:
             continue
@@ -284,8 +290,8 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
     m = len(split.reads)
-    h, vals = _run_gates([(spec, _const(spec, assignment), legs)
-                          for spec, legs in split.low_only],
+    h, vals = _run_gates([(spec, _const(spec, assignment), spec.var_legs)
+                          for spec in split.low_only],
                          np.arange(1 << low, dtype=np.int64),
                          np.ones(1 << low, dtype=np.complex128))
     key = np.zeros(len(h), dtype=np.int64)

@@ -18,9 +18,10 @@ one matrix per control setting, rows = output bits, columns = input bits.
 ``matrix()`` is its last block (every control 1), ``check_unitary`` loops
 over it, and ``matrix_gate`` builds the entries by the inverse transpose.
 
-A ``GateDef`` is immutable, so what the hot paths read of its zero pattern
-(``nonzero_mask`` for pruning, ``support`` for constant propagation) is
-derived once per definition and cached.
+A ``GateDef`` is immutable, so what the hot paths read of it (the flat
+entry ``table`` and ``nonzero_mask`` for pruning, ``support`` for constant
+propagation, ``qubit_slots`` for the parser and lowering) is derived once per
+definition and cached.
 """
 
 from __future__ import annotations
@@ -64,17 +65,21 @@ class GateDef:
         return len(self.legs)
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """The entries as one flat, write-protected table, leg 0 most significant."""
+        return self.entries.reshape(-1)
+
+    @cached_property
     def nonzero_mask(self) -> np.ndarray | None:
         """Flat ``entries != 0`` for pruning, or None when no entry is zero."""
-        mask = self.entries.reshape(-1) != 0
+        mask = self.table != 0
         return None if mask.all() else mask
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """Leg bits of every nonzero entry, one row per entry, in index order."""
-        rows = np.argwhere(self.entries != 0)
-        rows.flags.writeable = False
-        return rows
+    def support(self) -> tuple[int, ...]:
+        """Every nonzero entry as its flat index, ascending: the leg bits of
+        that entry packed with leg 0 most significant."""
+        return tuple(np.flatnonzero(self.table).tolist())
 
     @property
     def is_symmetric(self) -> bool:
@@ -88,12 +93,16 @@ class GateDef:
     def leg_indices(self, role: Role) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.legs) if r is role)
 
-    def qubit_slots(self):
+    def qubit_slots(self) -> tuple[tuple, ...]:
         """How ``apply`` binds qubit lines to legs, one slot per qubit argument.
 
-        Returns a list of ("ctrl", leg) / ("pair", in_leg, out_leg) / ("sym", leg),
+        Returns ("ctrl", leg) / ("pair", in_leg, out_leg) / ("sym", leg) slots,
         in argument order.  The n-th input leg pairs with the n-th output leg.
         """
+        return self._qubit_slots
+
+    @cached_property
+    def _qubit_slots(self) -> tuple[tuple, ...]:
         outs = self.leg_indices(Role.OUT)
         slots = []
         n_in = 0
@@ -105,7 +114,7 @@ class GateDef:
                 n_in += 1
             elif r is Role.SYM:
                 slots.append(("sym", i))
-        return slots
+        return tuple(slots)
 
     def blocks(self) -> np.ndarray:
         """The entries as one matrix per setting of the other legs, shape

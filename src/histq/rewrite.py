@@ -17,7 +17,8 @@ boundary pins, and values forced through gates whose compatible entries all
 agree.  Free boundary ends are never constant — their bits belong to the
 query.  Because a merge keeps the parity gate's constraint alive and a wire
 is only judged constant for a gate drop without that gate's own help, the
-constraint that justified a rewrite always survives it.
+constraint that justified a rewrite always survives it.  ``compute_constants``
+finds them in one worklist pass over the gates that have a zero entry.
 
 The constant-driven passes share one driver.  A step makes one change (a
 "drop", "trim" or "merge") or returns None; the driver runs each step to
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -47,7 +48,7 @@ _DIAG_THETA = {"Z": math.pi, "S": math.pi / 2, "T": math.pi / 4,
                "CZ": math.pi, "CCZ": math.pi}
 
 
-@dataclass
+@dataclass(slots=True)
 class PassReport:
     name: str
     changed: bool = False
@@ -111,7 +112,8 @@ def _canonicalize_core(c: Circuit, fuse: bool):
                 out_gates.append(g)          # keep the matrix form unfused
                 continue
             alias[to] = ti
-            state[ti] = Wire(ti, wa.in_bound, wa.in_value, wb.out_bound, wb.out_value)
+            if (wb.out_bound, wb.out_value) != (wa.out_bound, wa.out_value):
+                state[ti] = Wire(ti, wa.in_bound, wa.in_value, wb.out_bound, wb.out_value)
             del state[to]
             out_gates.append(GateInstance(ph, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
             changed = True
@@ -164,6 +166,14 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
     one leg's bit, that leg's wire is pinned down too.  Gates listed in
     ``skip`` contribute nothing — callers use that to prove a value does not
     depend on a gate they are about to remove.
+
+    The closure is one worklist pass, an AC-3 style queue (Mackworth 1977):
+    every gate that can force a value is examined once, and again whenever a
+    wire it reads becomes known.  Gates with no zero entry (the phase family)
+    never force a value or find a contradiction, so they are never examined.
+    A gate's compatible entries are the ``GateDef.support`` indices that
+    agree with its known legs.  The result is the least fixpoint, whatever
+    order the gates are examined in.
     """
     known: dict[str, int] = {}
     for w in c.wires:
@@ -172,27 +182,45 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
         v = w.in_value if w.in_value is not None else w.out_value
         if v is not None:
             known[w.name] = v
-    changed = True
-    while changed:
-        changed = False
-        for gi, g in enumerate(c.gates):
-            if gi in skip or g.gate.n_legs == 0:
-                continue
-            rows = g.gate.support
-            mask = np.ones(len(rows), dtype=bool)
-            for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
-                if wire in known:
-                    mask &= rows[:, li] == (known[wire] ^ int(neg))
-            sub = rows[mask]
-            if len(sub) == 0:
-                return None
-            for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
-                if wire in known:
-                    continue
-                col = sub[:, li]
-                if np.all(col == col[0]):
-                    known[wire] = int(col[0]) ^ int(neg)
-                    changed = True
+    gates = c.gates
+    readers: dict[str, list[int]] = {}
+    todo: deque[int] = deque()
+    for gi, g in enumerate(gates):
+        if gi in skip or g.gate.n_legs == 0 or g.gate.nonzero_mask is None:
+            continue
+        todo.append(gi)
+        for wire in g.wires:
+            readers.setdefault(wire, []).append(gi)
+    queued = set(todo)
+    while todo:
+        gi = todo.popleft()
+        queued.discard(gi)
+        g = gates[gi]
+        care = val = 0                  # known legs and their bits, leg 0 most significant
+        for wire, neg in zip(g.wires, g.negs):
+            care <<= 1
+            val <<= 1
+            v = known.get(wire)
+            if v is not None:
+                care |= 1
+                val |= v ^ neg
+        all1, any1 = -1, 0
+        for row in g.gate.support:
+            if row & care == val:
+                all1 &= row
+                any1 |= row
+        if all1 < 0:                    # no compatible entry
+            return None
+        forced = ~(care | any1 ^ all1)  # unknown legs every compatible entry agrees on
+        place = len(g.wires)
+        for wire, neg in zip(g.wires, g.negs):
+            place -= 1
+            if forced >> place & 1 and wire not in known:
+                known[wire] = (all1 >> place & 1) ^ neg
+                for gj in readers[wire]:
+                    if gj not in queued:
+                        queued.add(gj)
+                        todo.append(gj)
     return known
 
 
@@ -200,7 +228,7 @@ def _is_phase_family(d: GateDef) -> bool:
     """What ``phase_gate`` builds from ``d.param``, so a trim can rebuild it."""
     if not d.is_symmetric or d.param is None:
         return False
-    flat = d.entries.reshape(-1)
+    flat = d.table
     return bool(np.all(flat[:-1] == 1.0) and flat[-1] == phase_value(d.param))
 
 

@@ -91,6 +91,32 @@ def test_gate_instance_leg_count_checked():
         GateInstance(BUILTIN["X"], ("a", "b"), negs=(True,))
 
 
+def test_wires_and_gate_instances_hold_no_dict():
+    # slots keep every retained rewrite answer small
+    assert not hasattr(Wire("a"), "__dict__")
+    assert not hasattr(GateInstance(BUILTIN["X"], ("a", "b")), "__dict__")
+
+
+def test_complement_patterns_are_shared():
+    x = GateInstance(BUILTIN["X"], ("a", "b"))
+    h = GateInstance(BUILTIN["H"], ("c", "d"), negs=(False, False))
+    assert x.negs == (False, False) and x.negs is h.negs
+    built = tuple(bool(i) for i in (1, 0))   # a fresh tuple, equal to an earlier pattern
+    assert GateInstance(BUILTIN["X"], ("a", "b"), negs=(True, False)).negs is \
+        GateInstance(BUILTIN["H"], ("a", "b"), negs=built).negs
+
+
+def test_wire_lookup_by_name():
+    c = Circuit((w("a", in_bound=True), w("b", out_bound=True)),
+                (GateInstance(BUILTIN["H"], ("a", "b")),))
+    assert c.wire("b") is c.wires[1]
+    assert c.has_wire("a") and not c.has_wire("nope")
+    with pytest.raises(KeyError):
+        c.wire("nope")
+    with pytest.raises(KeyError):
+        c.ends["nope"]
+
+
 def test_gate_factor_reads_negations():
     g = GateInstance(BUILTIN["X"], ("a", "b"), negs=(True, False))
     # X accepts in != out; with the input read complemented it accepts equality

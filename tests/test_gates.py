@@ -40,10 +40,10 @@ def test_controlled_gate_embeds_identity():
 
 def test_support_lists_nonzero_entries_once():
     cnot = BUILTIN["CNOT"]
-    np.testing.assert_array_equal(cnot.support, np.argwhere(cnot.entries != 0))
-    assert cnot.support.shape == (4, 3)
+    # flat indices, leg 0 most significant: (ctrl, in, out) = 000, 011, 101, 110
+    assert cnot.support == (0b000, 0b011, 0b101, 0b110)
+    assert cnot.support == tuple(np.flatnonzero(cnot.entries))
     assert cnot.support is cnot.support
-    assert not cnot.support.flags.writeable
     assert len(phase_gate(0.7, 2).support) == 4
 
 
@@ -91,10 +91,11 @@ def test_structural_key_distinguishes():
 
 def test_qubit_slots_pairing():
     slots = BUILTIN["CNOT"].qubit_slots()
-    assert slots == [("ctrl", 0), ("pair", 1, 2)]
+    assert slots == (("ctrl", 0), ("pair", 1, 2))
+    assert BUILTIN["CNOT"].qubit_slots() is slots    # derived once per definition
     slots = BUILTIN["SWAP"].qubit_slots()
-    assert slots == [("pair", 0, 2), ("pair", 1, 3)]
-    assert BUILTIN["XOR3"].qubit_slots() == [("sym", 0), ("sym", 1), ("sym", 2)]
+    assert slots == (("pair", 0, 2), ("pair", 1, 3))
+    assert BUILTIN["XOR3"].qubit_slots() == (("sym", 0), ("sym", 1), ("sym", 2))
 
 
 def test_check_unitary():

@@ -1,15 +1,18 @@
 import gc
 import math
+import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (CircuitError, ParseError, emit_circuit, equivalent,
+from histq import (CircuitError, GateInstance, ParseError, emit_circuit, equivalent,
                    parse_circuit, phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
+
+from conftest import random_circuit
 
 
 def perr(text):
@@ -192,6 +195,17 @@ def test_emit_round_trip_all_examples():
         c2 = parse_circuit(text2)
         assert validate(c2) == [], name
         assert emit_circuit(c2) == text2, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_parse_of_emit_is_the_identity(seed, complemented):
+    rng = random.Random(seed)
+    c = random_circuit(rng, n_max=5, g_max=12)
+    if complemented:
+        c = c.replace(gates=[GateInstance(g.gate, g.wires, tuple(rng.random() < 0.3 for _ in g.wires))
+                             for g in c.gates])
+    assert parse_circuit(emit_circuit(c)).structural_key() == c.structural_key()
 
 
 def test_emit_folds_phase_norms():

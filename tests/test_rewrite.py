@@ -115,6 +115,66 @@ def test_compute_constants_leaves_free_ends_alone():
     assert compute_constants(c) == {}
 
 
+def reference_constants(c, skip=frozenset()):
+    """The rescan loop the worklist replaced: every gate, over and over,
+    until a sweep learns nothing."""
+    known = {}
+    for w in c.wires:
+        if w.in_value is not None and w.out_value is not None and w.in_value != w.out_value:
+            return None
+        v = w.in_value if w.in_value is not None else w.out_value
+        if v is not None:
+            known[w.name] = v
+    changed = True
+    while changed:
+        changed = False
+        for gi, g in enumerate(c.gates):
+            if gi in skip or g.gate.n_legs == 0:
+                continue
+            rows = np.argwhere(g.gate.entries != 0)
+            mask = np.ones(len(rows), dtype=bool)
+            for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
+                if wire in known:
+                    mask &= rows[:, li] == (known[wire] ^ int(neg))
+            sub = rows[mask]
+            if len(sub) == 0:
+                return None
+            for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
+                if wire not in known and np.all(sub[:, li] == sub[0, li]):
+                    known[wire] = int(sub[0, li]) ^ int(neg)
+                    changed = True
+    return known
+
+
+NETLIST_GATES = [BUILTIN[n] for n in ("X", "Y", "H", "S", "CNOT", "SWAP", "TOFFOLI", "CCZ",
+                                      "XOR3", "XOR3")] + [phase_gate(math.pi, 2),
+                                                          phase_gate(0.7, 1), phase_gate(0.0, 0)]
+
+
+def random_netlist(rng):
+    """Any gate on any wires: repeated wires, complemented reads, and pins
+    that contradict each other or the gates."""
+    wires = [Wire(f"w{i}", in_value=rng.choice([None, None, None, 0, 1]),
+                  out_value=rng.choice([None] * 8 + [0, 1]))
+             for i in range(rng.randint(1, 10))]
+    gates = []
+    for _ in range(rng.randint(0, 10)):
+        d = rng.choice(NETLIST_GATES)
+        gates.append(GateInstance(d, tuple(rng.choice(wires).name for _ in d.legs),
+                                  tuple(rng.random() < 0.3 for _ in d.legs)))
+    return Circuit(wires, gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_worklist_propagation_matches_the_rescan(seed):
+    c = random_netlist(random.Random(seed))
+    assert compute_constants(c) == reference_constants(c)
+    for gi in range(len(c.gates)):
+        skip = frozenset([gi])
+        assert compute_constants(c, skip) == reference_constants(c, skip)
+
+
 def test_drop_dead_removes_gate_reading_zero():
     a = Wire("a", in_value=0, out_bound=True)
     b = Wire("b", in_bound=True, out_bound=True)
