@@ -37,6 +37,9 @@ class Wire:
     out_value: int | None = None
 
     def __post_init__(self):
+        if self.in_value not in (None, 0, 1) or self.out_value not in (None, 0, 1):
+            raise ValidationError(f"wire {self.name}: a pinned bit must be 0 or 1, "
+                                  f"got in={self.in_value!r} out={self.out_value!r}")
         if self.in_value is not None and not self.in_bound:
             object.__setattr__(self, "in_bound", True)
         if self.out_value is not None and not self.out_bound:
@@ -245,15 +248,18 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
 
     Returns None when some wire receives two different values — every history
     is then rejected and the amplitude is exactly zero.  Raises UnboundWire if
-    a boundary end has no value from either source.
+    a boundary end has no value from either source, and ValidationError for a
+    supplied bit other than 0 or 1.
     """
     for side, bits in (("input", b.in_bits), ("output", b.out_bits)):
-        for name in bits:
+        for name, bit in bits.items():
             e = c.ends.get(name)
             if e is None:
                 raise UnboundWire(f"no wire named {name}")
             if not (e.in_boundary if side == "input" else e.out_boundary):
                 raise ValidationError(f"wire {name} has no boundary {side} end")
+            if bit not in (0, 1):
+                raise ValidationError(f"{side} bit for wire {name} must be 0 or 1, got {bit!r}")
     values: dict[str, int] = {}
     conflict = False
     missing: list[str] = []

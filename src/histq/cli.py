@@ -62,10 +62,6 @@ def _query(c: Circuit, in_bits: str | None, out_bits: str | None) -> BoundaryAss
         _bits_for("out", [w.name for w in c.output_wires], out_bits))
 
 
-def _engine_opts(args) -> dict:
-    return {"max_wires": args.max_wires, "chunk_size": args.chunk_size}
-
-
 def _emit_report(args, report: dict) -> None:
     if args.json:
         print(json.dumps(report))
@@ -83,7 +79,7 @@ def cmd_run(args) -> int:
                   "amplitude_re": a.real, "amplitude_im": a.imag,
                   "probability": abs(a) ** 2}
     else:
-        r = evaluate(c, q, **_engine_opts(args))
+        r = evaluate(c, q, max_wires=args.max_wires)
         a = r.value
         report = {"engine": "soh",
                   "amplitude_re": a.real, "amplitude_im": a.imag,
@@ -100,7 +96,7 @@ def cmd_dist(args) -> int:
     q = _query(c, getattr(args, "in"), None)
     amp = (partial(amplitude_canonical, max_wires=args.max_wires)
            if args.engine == "canonical" else None)
-    d = output_distribution(c, q, amplitude=amp, **_engine_opts(args))
+    d = output_distribution(c, q, amplitude=amp, max_wires=args.max_wires)
     free = free_output_ends(c, q)
     if args.json:
         print(json.dumps({"ends": free, "probs": d.probs, "total": d.total}))
@@ -115,7 +111,7 @@ def cmd_dist(args) -> int:
 def cmd_compare(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), args.out)
-    soh = evaluate(c, q, **_engine_opts(args)).value
+    soh = evaluate(c, q, max_wires=args.max_wires).value
     canonical = amplitude_canonical(c, q, max_wires=args.max_wires)
     delta = abs(soh - canonical)
     _emit_report(args, {
@@ -194,9 +190,6 @@ def _add_engine_args(p: argparse.ArgumentParser, with_engine: bool = True):
         p.add_argument("--engine", choices=("soh", "canonical"), default="soh")
     p.add_argument("--max-wires", type=_positive_int, default=None,
                    help="internal-wire guard (default: HISTQ_MAX_WIRES or 40)")
-    p.add_argument("--chunk-size", type=_positive_int, default=None,
-                   help="histories held at once, rounded down to a power of two "
-                        "(default: the split is chosen per circuit)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,14 +7,13 @@ normalization exponent K.  Nothing here requires, or checks, that the circuit
 has a gate schedule — feedback netlists evaluate the same way.
 
 Histories are numbered by a w-bit counter, split into its low ``low`` bits
-and a block number holding the high bits.  By default the plan picks
-``low`` (at most 16) once per circuit, as the split with the least
-estimated work: lanes of gate work in each stage plus a fixed cost per
-numpy call.  An explicit chunk size fixes it instead, rounded down to a
-power of two 2^low (at most 2^w).  A gate that reads no internal wire is
-one factor for every history, multiplied in once per query; if it is an
-exact zero no history survives.  Every other gate reads only low bits,
-only high bits, or both ("mixed"), and the sum runs in three stages:
+and a block number holding the high bits.  The plan picks ``low`` (at
+most 16) once per circuit, as the split with the least estimated work:
+lanes of gate work in each stage plus a fixed cost per numpy call.  A gate
+that reads no internal wire is one factor for every history, multiplied in
+once per query; if it is an exact zero no history survives.  Every other
+gate reads only low bits, only high bits, or both ("mixed"), and the sum
+runs in three stages:
 
 * low stage: the low-only gates run once over the 2^low low patterns.  Of
   the low bits only the m that some mixed gate reads matter afterwards, so
@@ -33,14 +32,14 @@ XORed with shifted lane bits; lanes whose factor is an exact zero are
 dropped from later gates.  Within each stage the gates with a zero entry
 run first, so the rest see only surviving lanes.  A run holds at most
 2^low lanes and at least one block, so memory stays O(2^low).  Runs are
-reduced in ascending order whether or not a thread pool is used: threads
-change no bit, while the split may move the last bits of an inexact sum.
+reduced in ascending order whether or not a thread pool is used, so threads
+change no bit.
 
-What the circuit alone fixes — the sorted internal wires, the gate order,
-each gate's entry table and leg reads, and the default split with the
-gates grouped by stage — is one plan, built on the circuit's
-first query and shared by every later ``evaluate``, so ``output_distribution``
-and ``equivalent`` build it once.  The wire guards run on every query.
+What the circuit alone fixes — the sorted internal wires, each gate's entry
+table and leg reads, and the split with the gates grouped by stage — is one
+plan, built on the circuit's first query and shared by every later
+``evaluate``, so ``output_distribution`` and ``equivalent`` build it once.
+The wire guards run on every query.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .errors import MaxWiresExceeded, ValidationError
 
 DEFAULT_MAX_WIRES = 40
 HARD_MAX_WIRES = 62    # 2^63 histories no longer fit a signed 64-bit count
-MAX_LOW = 16           # the default split holds at most 2^16 lanes
+MAX_LOW = 16           # the split holds at most 2^16 lanes
 
 
 def resolve_max_wires(max_wires: int | None) -> int:
@@ -88,30 +87,20 @@ class _GateSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class _Split:
-    """The plan's gates grouped for one split point ``low``.  The high and
-    cross groups hold ``(spec, legs)`` pairs whose legs read ``(bit, place)``
-    in that stage's lane numbering; a low-only gate reads its own
-    ``var_legs``.  ``reads`` are the low bits mixed gates read."""
+class _Prepared:
+    """The circuit's plan: its gates grouped for the split point ``low``.
+    The high and cross groups hold ``(spec, legs)`` pairs whose legs read
+    ``(bit, place)`` in that stage's lane numbering; a low-only gate reads
+    its own ``var_legs``.  ``reads`` are the low bits mixed gates read."""
+    internal: tuple[str, ...]
+    norm_exponent: int
+    histories: int                       # 2^w
     low: int
     scalar: tuple[_GateSpec, ...]        # read no internal wire
     low_only: tuple[_GateSpec, ...]
     high_only: tuple[tuple[_GateSpec, tuple], ...]
     cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
     reads: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class _Prepared:
-    internal: tuple[str, ...]
-    specs: tuple[_GateSpec, ...]
-    norm_exponent: int
-    histories: int                       # 2^w
-    split: _Split                        # the default split, chosen by cost
-
-    @property
-    def low(self) -> int:
-        return self.split.low
 
 
 @dataclass(slots=True)
@@ -124,30 +113,6 @@ class EvalResult:
     @property
     def value(self) -> complex:
         return self.amplitude.resolved()
-
-
-def _split(specs, low: int) -> _Split:
-    scalar, low_only, high_only, mixed = [], [], [], []
-    for spec in specs:
-        legs = spec.var_legs
-        low_legs = tuple(leg for leg in legs if leg[0] < low)
-        if not legs:
-            scalar.append(spec)
-        elif len(low_legs) == len(legs):
-            low_only.append(spec)
-        else:
-            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
-            if low_legs:
-                mixed.append((spec, low_legs, high_legs))
-            else:
-                high_only.append((spec, high_legs))
-    reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
-    slot = {s: r for r, s in enumerate(reads)}
-    cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
-              + tuple((len(reads) + s, p) for s, p in high_legs))
-             for spec, low_legs, high_legs in mixed]
-    return _Split(low, tuple(scalar), tuple(low_only), tuple(high_only),
-                  tuple(cross), tuple(reads))
 
 
 # The fixed cost of one numpy call, in lanes of one gate's work.
@@ -199,8 +164,28 @@ def _build_plan(c: Circuit) -> _Prepared:
     shifts = [tuple(sorted(s for s, _ in spec.var_legs)) for spec in specs if spec.var_legs]
     low = min(range(min(w, MAX_LOW) + 1),
               key=lambda low: _split_cost(shifts, w, low))
-    return _Prepared(tuple(order), tuple(specs), c.total_norm_exponent, 1 << w,
-                     _split(specs, low))
+
+    scalar, low_only, high_only, mixed = [], [], [], []
+    for spec in specs:
+        legs = spec.var_legs
+        low_legs = tuple(leg for leg in legs if leg[0] < low)
+        if not legs:
+            scalar.append(spec)
+        elif len(low_legs) == len(legs):
+            low_only.append(spec)
+        else:
+            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
+            if low_legs:
+                mixed.append((spec, low_legs, high_legs))
+            else:
+                high_only.append((spec, high_legs))
+    reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
+    slot = {s: r for r, s in enumerate(reads)}
+    cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
+              + tuple((len(reads) + s, p) for s, p in high_legs))
+             for spec, low_legs, high_legs in mixed]
+    return _Prepared(tuple(order), c.total_norm_exponent, 1 << w, low, tuple(scalar),
+                     tuple(low_only), tuple(high_only), tuple(cross), tuple(reads))
 
 
 _PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared
@@ -257,45 +242,34 @@ def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
-             max_wires: int | None = None, chunk_size: int | None = None,
-             threads: int | None = None) -> EvalResult:
+             max_wires: int | None = None, threads: int | None = None) -> EvalResult:
     """Sum all histories for one fully bound boundary query.
 
-    By default the split point is the plan's, chosen by cost.  ``chunk_size``
-    fixes it instead: it bounds the lanes held at once, rounded down to a
-    power of two.  ``threads`` sums runs of blocks in a pool.  Threads change
-    no bit of the result; the split may change the last bits of an inexact
-    sum.
+    ``threads`` sums runs of blocks in a pool; threads change no bit of the
+    result.
     """
     prep = prepare(c, max_wires)
     assignment = resolve_boundary(c, boundary or BoundaryAssignment())
     if assignment is None:
         return _result(prep, 0j, 0)
-    split = prep.split
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk size must be positive")
-        low = min(len(prep.internal), chunk_size.bit_length() - 1)
-        if low != split.low:
-            split = _split(prep.specs, low)
-    low = split.low
+    low = prep.low
 
     # gates that read no internal wire: one factor for every history
     scalar = 1 + 0j
-    for spec in split.scalar:
+    for spec in prep.scalar:
         const = _const(spec, assignment)
         if spec.nonzero is not None and not spec.nonzero[const]:
             return _result(prep, 0j, 0)
         scalar *= complex(spec.table[const])
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
-    m = len(split.reads)
+    m = len(prep.reads)
     h, vals = _run_gates([(spec, _const(spec, assignment), spec.var_legs)
-                          for spec in split.low_only],
+                          for spec in prep.low_only],
                          np.arange(1 << low, dtype=np.int64),
                          np.ones(1 << low, dtype=np.complex128))
     key = np.zeros(len(h), dtype=np.int64)
-    for r, s in enumerate(split.reads):
+    for r, s in enumerate(prep.reads):
         key |= ((h >> s) & 1) << r
     counts = np.bincount(key, minlength=1 << m)
     marg = np.empty(1 << m, dtype=np.complex128)
@@ -306,8 +280,8 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     if len(keys) == 0:
         return _result(prep, 0j, 0)
     marg = marg[keys]
-    high_only = [(spec, _const(spec, assignment), legs) for spec, legs in split.high_only]
-    cross = [(spec, _const(spec, assignment), legs) for spec, legs in split.cross]
+    high_only = [(spec, _const(spec, assignment), legs) for spec, legs in prep.high_only]
+    cross = [(spec, _const(spec, assignment), legs) for spec, legs in prep.cross]
 
     blocks = prep.histories >> low
     per_run = max(1, (1 << low) // len(keys))

@@ -1,7 +1,12 @@
-"""Shared generators: random sequential circuits and boundary queries."""
+"""Shared generators: random sequential circuits, random netlists and
+boundary queries; and ``evaluate_at``, the history sum at a forced split."""
 
-from histq import (BUILTIN, BoundaryAssignment, SeqDescription, SeqLine,
-                   SeqOp, lower_sequential, phase_gate)
+import math
+
+from histq import (BUILTIN, BoundaryAssignment, Circuit, GateInstance,
+                   SeqDescription, SeqLine, SeqOp, Wire, evaluate,
+                   lower_sequential, phase_gate)
+from histq import engine
 
 POOL1 = ["H", "X", "Y", "Z", "S", "T"]
 POOL2 = ["CNOT", "CZ", "SWAP"]
@@ -55,3 +60,36 @@ def random_query(rng, c):
     outs = {w.name: rng.getrandbits(1)
             for w in c.output_wires if w.out_value is None}
     return BoundaryAssignment(ins, outs)
+
+
+NETLIST_GATES = [BUILTIN[n] for n in ("X", "Y", "H", "S", "CNOT", "SWAP", "TOFFOLI", "CCZ",
+                                      "XOR3", "XOR3")] + [phase_gate(math.pi, 2),
+                                                          phase_gate(0.7, 1), phase_gate(0.0, 0)]
+
+
+def random_netlist(rng):
+    """Any gate on any wires: repeated wires, complemented reads, and pins
+    that contradict each other or the gates."""
+    wires = [Wire(f"w{i}", in_value=rng.choice([None, None, None, 0, 1]),
+                  out_value=rng.choice([None] * 8 + [0, 1]))
+             for i in range(rng.randint(1, 10))]
+    gates = []
+    for _ in range(rng.randint(0, 10)):
+        d = rng.choice(NETLIST_GATES)
+        gates.append(GateInstance(d, tuple(rng.choice(wires).name for _ in d.legs),
+                                  tuple(rng.random() < 0.3 for _ in d.legs)))
+    return Circuit(wires, gates)
+
+
+def evaluate_at(low, c, q=None, **opts):
+    """``evaluate`` with the history counter split at ``low`` (at most w):
+    the circuit's plan is rebuilt with a cost model that prefers ``low``,
+    and dropped again afterwards so later queries get the cost-chosen one."""
+    cost = engine._split_cost
+    engine._split_cost = lambda shifts, w, at: abs(at - low)
+    engine._PLANS.pop(c, None)
+    try:
+        return evaluate(c, q, **opts)
+    finally:
+        engine._split_cost = cost
+        engine._PLANS.pop(c, None)

@@ -17,7 +17,7 @@ from histq import (BUILTIN, BoundaryAssignment, SeqDescription, SeqLine,
 from histq.examples import EXAMPLES, SUPERDENSE_TEXT, TELEPORTATION_TEXT
 from histq.rewrite import PASSES
 
-from conftest import random_circuit, random_ops, random_query
+from conftest import evaluate_at, random_circuit, random_ops, random_query
 
 TOL = 1e-10
 
@@ -215,12 +215,13 @@ def test_criterion_9_streaming_memory():
     big = hline(23)     # 22 internal wires, ~4.2M histories
     q_small = BoundaryAssignment({"a0": 0}, {"a13": 0})
     q_big = BoundaryAssignment({"a0": 0}, {"a23": 0})
-    # equal, fully-filled chunks: 1 of them for w=12, 1024 for w=22, so any
-    # allocation that grows with the history count shows up in the ratio
+    # both split at low 12: at most 2^12 lanes are held at once for w=12 and
+    # for w=22 alike, so any allocation that grows with the history count
+    # shows up in the ratio
     with memory_probe() as probe_small:
-        evaluate(small, q_small, chunk_size=1 << 12, threads=1)
+        evaluate_at(12, small, q_small, threads=1)
     with memory_probe() as probe_big:
-        r = evaluate(big, q_big, chunk_size=1 << 12, threads=1)
+        r = evaluate_at(12, big, q_big, threads=1)
     elapsed = time.monotonic() - t0
     # odd Hadamard count: the line is one Hadamard in the aggregate
     amp_ok = abs(r.value - 1 / math.sqrt(2)) < 1e-9

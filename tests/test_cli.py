@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,8 +209,8 @@ def test_dense_engine_wire_guard(tmp_path, capsys, cmd, n, limit, msg):
     assert msg in capsys.readouterr().err
 
 
-# --threads is no longer a flag: argparse refuses it whatever its value,
-# naming it in the error, so the old cases still hold.
+# --threads and --chunk-size are no longer flags: argparse refuses them
+# whatever their value, naming them in the error, so the old cases still hold.
 @pytest.mark.parametrize("flag", ["--chunk-size", "--threads", "--max-wires"])
 @pytest.mark.parametrize("value", ["-1", "0", "x"])
 def test_engine_knobs_must_be_positive(teleport, capsys, flag, value):
@@ -218,11 +220,25 @@ def test_engine_knobs_must_be_positive(teleport, capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
-def test_threads_flag_is_a_usage_error(teleport, capsys):
+@pytest.mark.parametrize("flag", ["--threads", "--chunk-size"])
+@pytest.mark.parametrize("cmd", [["run", "--out", "000"], ["dist"], ["compare", "--out", "000"]],
+                         ids=["run", "dist", "compare"])
+def test_threads_flag_is_a_usage_error(teleport, capsys, cmd, flag):
     with pytest.raises(SystemExit) as ei:
-        cli.main(["run", teleport, "--in", "0--", "--out", "000", "--threads", "2"])
+        cli.main([cmd[0], teleport, "--in", "0--", *cmd[1:], flag, "4"])
     assert ei.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for p in subparsers.choices.values() for a in p._actions
+                for opt in a.option_strings if opt.startswith("--")} - {"--help"}
+    assert documented == accepted
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
-                   Circuit, GateInstance, SeqDescription, SeqLine, SeqOp, Wire,
+                   Circuit, GateInstance, SeqDescription, SeqLine, SeqOp,
+                   ValidationError, Wire,
                    amplitude_canonical, classify_wires, equivalent, evaluate,
                    free_output_ends, gate_factor, lower_sequential,
                    memory_probe, output_distribution, parse_circuit,
@@ -16,7 +17,8 @@ from histq import engine
 from histq.engine import resolve_max_wires
 from histq.examples import TELEPORTATION_TEXT
 
-from conftest import POOL1, POOL2, POOL3, THETAS, random_circuit, random_query
+from conftest import (POOL1, POOL2, POOL3, THETAS, evaluate_at, random_circuit,
+                      random_netlist, random_query)
 
 
 def chain(n_gates, name="a", gate="X"):
@@ -94,11 +96,11 @@ def test_chunking_and_threads_change_nothing():
     c = parse_circuit(TELEPORTATION_TEXT)
     q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 1, "c3": 1})
     base = evaluate(c, q).value
-    # integer-entry factors: the sum is exact under any chunking
-    assert evaluate(c, q, chunk_size=3).value == base
-    assert evaluate(c, q, chunk_size=1).value == base
+    # integer-entry factors: the sum is exact under any split
+    assert evaluate_at(1, c, q).value == base
+    assert evaluate_at(0, c, q).value == base
     assert evaluate(c, q, threads=3).value == base
-    assert evaluate(c, q, chunk_size=2, threads=4).value == base
+    assert evaluate_at(1, c, q, threads=4).value == base
 
 
 def test_chunking_on_phase_circuit():
@@ -107,14 +109,14 @@ def test_chunking_on_phase_circuit():
         c = random_circuit(rng)
         q = random_query(rng, c)
         a = evaluate(c, q).value
-        b = evaluate(c, q, chunk_size=5, threads=2).value
+        b = evaluate_at(2, c, q, threads=2).value
         assert abs(a - b) < 1e-12
 
 
 @st.composite
 def split_cases(draw, max_lines=5, max_ops=10, lone_lines=0):
     """A random circuit on 2 to ``max_lines`` lines, a full query and a
-    power-of-two chunk.  With ``lone_lines``, 1 to that many more lines
+    split point up to 12.  With ``lone_lines``, 1 to that many more lines
     each carry a single gate, which reads only boundary ends."""
     n = draw(st.integers(2, max_lines))
     names = [f"q{i}" for i in range(n)]
@@ -145,18 +147,18 @@ def split_cases(draw, max_lines=5, max_ops=10, lone_lines=0):
     q = BoundaryAssignment(
         {w.name: draw(bits) for w in c.input_wires if w.in_value is None},
         {w.name: draw(bits) for w in c.output_wires if w.out_value is None})
-    return c, q, 1 << draw(st.integers(0, 12))
+    return c, q, draw(st.integers(0, 12))
 
 
 @settings(max_examples=60, deadline=None)
 @given(split_cases())
 def test_split_sum_matches_dense_under_any_chunking(case):
-    c, q, pow2 = case
+    c, q, drawn = case
     dense = amplitude_canonical(c, q)
     accepted = set()
-    for chunk in (1, 2, 3, 5, pow2):
-        single = evaluate(c, q, chunk_size=chunk)
-        threaded = evaluate(c, q, chunk_size=chunk, threads=2)
+    for low in (0, 1, 2, drawn):
+        single = evaluate_at(low, c, q)
+        threaded = evaluate_at(low, c, q, threads=2)
         assert abs(single.value - dense) <= 1e-10
         # blocks are reduced in ascending order either way
         assert threaded.value == single.value
@@ -187,14 +189,32 @@ def brute_force(c, q):
 @settings(max_examples=100, deadline=None)
 @given(split_cases(max_lines=4, max_ops=12))
 def test_three_stage_sum_matches_brute_force(case):
-    c, q, pow2 = case
+    c, q, drawn = case
     assume(len(classify_wires(c)[0]) <= 10)
     want, accepted = brute_force(c, q)
-    for chunk in (1, 2, 4, pow2, None):
+    for low in (0, 1, 2, drawn, None):
         for threads in (None, 2):
-            r = evaluate(c, q, chunk_size=chunk, threads=threads)
+            if low is None:
+                r = evaluate(c, q, threads=threads)
+            else:
+                r = evaluate_at(low, c, q, threads=threads)
             assert abs(r.value - want) <= 1e-12
             assert r.accepted == accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_netlists_match_brute_force_at_every_split(seed):
+    # feedback, repeated wires, complemented reads and contradictory pins
+    rng = random.Random(seed)
+    c = random_netlist(rng)
+    q = random_query(rng, c)
+    want, accepted = brute_force(c, q)
+    w = len(classify_wires(c)[0])
+    for r in (evaluate(c, q), evaluate_at(0, c, q), evaluate_at(1, c, q),
+              evaluate_at(w, c, q)):
+        assert abs(r.value - want) <= 1e-12
+        assert r.accepted == accepted
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,7 +226,7 @@ def test_default_split_folds_boundary_only_gates(case):
     prep = engine.prepare(c)
     assert 0 <= prep.low <= min(w, 16)
     # each lone line's gate reads no internal wire: one factor per query
-    assert prep.split.scalar
+    assert prep.scalar
     want, accepted = brute_force(c, q)
     r = evaluate(c, q)
     assert abs(r.value - want) <= 1e-12
@@ -215,7 +235,7 @@ def test_default_split_folds_boundary_only_gates(case):
 
 def test_default_split_below_w_matches_fixed_split():
     # 28 gates on 6 lines give w = 13, where the cost model splits below w
-    # (the fixed 2^16 split holds every history in one block)
+    # (a split at 16, capped at w, holds every history in one block)
     rng = random.Random(3)
     names = [f"q{i}" for i in range(6)]
     ops = []
@@ -234,7 +254,7 @@ def test_default_split_below_w_matches_fixed_split():
     for bits in range(1 << len(names)):
         q = BoundaryAssignment({}, {e.name: (bits >> i) & 1
                                     for i, e in enumerate(c.output_wires)})
-        chosen, fixed = evaluate(c, q), evaluate(c, q, chunk_size=1 << 16)
+        chosen, fixed = evaluate(c, q), evaluate_at(16, c, q)
         assert chosen.accepted == fixed.accepted
         assert abs(chosen.value - fixed.value) <= 1e-12
         assert abs(chosen.value - amplitude_canonical(c, q)) <= 1e-12
@@ -243,21 +263,20 @@ def test_default_split_below_w_matches_fixed_split():
 
 
 def test_cancelled_marginal_still_accepted():
-    # internal wires sort a1, a2, a3, z1.  At chunk 4 the low bits are a3 and
+    # internal wires sort a1, a2, a3, z1.  At low 2 the low bits are a3 and
     # z1; the H between a2 and a3 reads both halves, so a3 is kept and z1 is
     # summed out, where H;H on line z cancels: every kept marginal is an
     # exact 0, yet all 16 histories are accepted
     c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\nqubit z in=0 out=1\n"
                       "apply H a\napply H a\napply H a\napply H a\n"
                       "apply H z\napply H z\n")
-    for chunk in (2, 4, None):
-        r = evaluate(c, BoundaryAssignment(), chunk_size=chunk)
+    for r in (evaluate_at(1, c), evaluate_at(2, c), evaluate(c)):
         assert r.amplitude.value == 0
         assert r.histories == r.accepted == 16
 
 
 def test_block_skip_keeps_accepted_exact(monkeypatch):
-    # internal wires sort a1, a2, b1; a chunk of 2 leaves only b1 in the low
+    # internal wires sort a1, a2, b1; a split at low 1 leaves only b1 in the low
     # bits, so the X between a1 and a2 reads high bits only and zeroes the
     # two blocks where a1 == a2 before any lane is touched
     c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\nqubit b in=0 out=0\n"
@@ -270,7 +289,7 @@ def test_block_skip_keeps_accepted_exact(monkeypatch):
                         calls.append((len(gates), h.tolist())) or run_gates(gates, h, vals))
     for threads in (None, 2):
         calls.clear()
-        r = evaluate(c, BoundaryAssignment(), chunk_size=2, threads=threads)
+        r = evaluate_at(1, c, threads=threads)
         assert r.value == whole.value and r.accepted == whole.accepted
         # 2 gates read only b1 (low stage), 3 only a1/a2 (high stage) and
         # none both (cross stage), whose lanes are block << 0 | key
@@ -280,6 +299,21 @@ def test_block_skip_keeps_accepted_exact(monkeypatch):
         assert sorted(lanes[2]) == [0, 1]             # the low patterns, once
         assert sorted(lanes[3]) == [0, 1, 2, 3]       # every block
         assert sorted(lanes[0]) == [1, 2]             # only where a1 != a2
+
+
+@pytest.mark.parametrize("bit", [2, -1])
+def test_boundary_bits_must_be_0_or_1(bit):
+    c = parse_circuit(TELEPORTATION_TEXT)
+    q = BoundaryAssignment({"x0": bit}, {"x1": 0, "b2": 0, "c3": 0})
+    for amplitude in (evaluate, amplitude_canonical):
+        with pytest.raises(ValidationError, match="x0 must be 0 or 1"):
+            amplitude(c, q)
+    with pytest.raises(ValidationError, match="pinned bit must be 0 or 1"):
+        Wire("a", in_value=bit, out_bound=True)
+    with pytest.raises(ValidationError, match="pinned bit must be 0 or 1"):
+        Wire("a", in_bound=True, out_value=bit)
+    # bools are bits
+    assert evaluate(c, BoundaryAssignment({"x0": True}, {"x1": 0, "b2": 0, "c3": 1})).accepted
 
 
 def test_hard_wire_cap(monkeypatch):
@@ -332,7 +366,7 @@ def test_transition_probability():
     assert abs(p - 0.5) < 1e-12
 
 
-def test_prepare_runs_zero_capable_gates_first():
+def test_prepare_runs_zero_capable_gates_first(monkeypatch):
     tap, h, y, cnot, s = (phase_gate(0.3, 2), BUILTIN["H"], BUILTIN["Y"],
                           BUILTIN["CNOT"], BUILTIN["S"])
     gates = [GateInstance(tap, ("a0", "b0")), GateInstance(h, ("a0", "a1")),
@@ -354,8 +388,17 @@ def test_prepare_runs_zero_capable_gates_first():
         return tuple(wires)
 
     # Y, CNOT and S have zero entries; the phase tap and H have none
-    want = [gates[i] for i in (2, 4, 6, 0, 1, 3, 5)]
-    assert [wires_read(spec) for spec in prep.specs] == [g.wires for g in want]
+    rank = {gates[i].wires: r for r, i in enumerate((2, 4, 6, 0, 1, 3, 5))}
+    for low in range(len(prep.internal) + 1):
+        monkeypatch.setattr(engine, "_split_cost", lambda shifts, w, at: abs(at - low))
+        plan = engine._build_plan(c)
+        assert plan.low == low
+        groups = (plan.scalar, plan.low_only, [spec for spec, _ in plan.high_only],
+                  [spec for spec, _ in plan.cross])
+        ranks = [[rank[wires_read(spec)] for spec in group] for group in groups]
+        # every gate lands in one stage group, in the group in that order
+        assert sorted(sum(ranks, [])) == list(range(len(gates)))
+        assert all(r == sorted(r) for r in ranks)
 
 
 def test_free_output_ends():

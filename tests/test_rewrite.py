@@ -14,7 +14,7 @@ from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateInstance, Inter
 from histq.examples import TELEPORTATION_TEXT
 from histq.parser import emit_circuit
 
-from conftest import random_circuit
+from conftest import random_circuit, random_netlist
 
 PROPAGATED_TELEPORT = """\
 version 1
@@ -144,25 +144,6 @@ def reference_constants(c, skip=frozenset()):
                     known[wire] = int(sub[0, li]) ^ int(neg)
                     changed = True
     return known
-
-
-NETLIST_GATES = [BUILTIN[n] for n in ("X", "Y", "H", "S", "CNOT", "SWAP", "TOFFOLI", "CCZ",
-                                      "XOR3", "XOR3")] + [phase_gate(math.pi, 2),
-                                                          phase_gate(0.7, 1), phase_gate(0.0, 0)]
-
-
-def random_netlist(rng):
-    """Any gate on any wires: repeated wires, complemented reads, and pins
-    that contradict each other or the gates."""
-    wires = [Wire(f"w{i}", in_value=rng.choice([None, None, None, 0, 1]),
-                  out_value=rng.choice([None] * 8 + [0, 1]))
-             for i in range(rng.randint(1, 10))]
-    gates = []
-    for _ in range(rng.randint(0, 10)):
-        d = rng.choice(NETLIST_GATES)
-        gates.append(GateInstance(d, tuple(rng.choice(wires).name for _ in d.legs),
-                                  tuple(rng.random() < 0.3 for _ in d.legs)))
-    return Circuit(wires, gates)
 
 
 @settings(max_examples=300, deadline=None)
