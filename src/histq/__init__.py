@@ -2,8 +2,8 @@
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, GateInstance,
                       SeqDescription, SeqLine, SeqOp, Wire, classify_wires,
-                      gate_factor, lower_sequential, resolve_boundary,
-                      validate)
+                      gate_factor, interface, lower_sequential,
+                      resolve_boundary, validate)
 from .engine import (DEFAULT_MAX_WIRES, Distribution, EvalResult, evaluate,
                      free_output_ends, memory_probe, output_distribution)
 from .errors import (CircuitError, InterfaceMismatch, MaxWiresExceeded,
@@ -13,7 +13,7 @@ from .gates import (BUILTIN, GateDef, Role, check_unitary, matrix_gate,
 from .parser import emit_circuit, parse_circuit
 from .rewrite import (DEFAULT_PASSES, PASSES, PassReport, apply_passes,
                       canonicalize, compute_constants,
-                      drop_dead_controlled_gates, equivalent, interface,
+                      drop_dead_controlled_gates, equivalent,
                       propagate_constants, short_xor_constant)
 from .statevector import amplitude_canonical, sequential_order
 
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Amplitude", "BoundaryAssignment", "Circuit", "GateInstance",
     "SeqDescription", "SeqLine", "SeqOp", "Wire", "classify_wires",
-    "gate_factor", "lower_sequential", "resolve_boundary", "validate",
+    "gate_factor", "interface", "lower_sequential", "resolve_boundary", "validate",
     "DEFAULT_MAX_WIRES", "Distribution", "EvalResult", "evaluate",
     "free_output_ends", "memory_probe", "output_distribution",
     "CircuitError", "InterfaceMismatch", "MaxWiresExceeded", "NonSequential",
@@ -32,7 +32,7 @@ __all__ = [
     "emit_circuit", "parse_circuit",
     "DEFAULT_PASSES", "PASSES", "PassReport", "apply_passes", "canonicalize",
     "compute_constants", "drop_dead_controlled_gates", "equivalent",
-    "interface", "propagate_constants", "short_xor_constant",
+    "propagate_constants", "short_xor_constant",
     "amplitude_canonical", "sequential_order",
     "__version__",
 ]

@@ -13,7 +13,8 @@ gate legs.  External wire values come from the boundary; internal wires take
 both values, one assignment per history.
 
 ``attachments`` is the one home of this rule.  ``Circuit.ends`` keeps only
-the boundary flags it implies; pinned bits stay on the ``Wire``.
+the boundary flags it implies; pinned bits stay on the ``Wire``, and
+``interface`` names the unpinned boundary ends, the ones a query binds.
 """
 
 from __future__ import annotations
@@ -107,16 +108,6 @@ class Circuit:
                 wname = next(w for w in g.wires if w not in declared)
                 raise ValidationError(f"gate {g.gate.name} bound to undeclared wire {wname}")
 
-    def wire(self, name: str) -> Wire:
-        """The wire declared as ``name``; KeyError if there is none."""
-        for w in self.wires:
-            if w.name == name:
-                return w
-        raise KeyError(name)
-
-    def has_wire(self, name: str) -> bool:
-        return name in self.ends
-
     def replace(self, wires=None, gates=None, norm_shift=None) -> "Circuit":
         return Circuit(self.wires if wires is None else wires,
                        self.gates if gates is None else gates,
@@ -179,6 +170,13 @@ def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
     for w in c.wires:
         (internal if c.ends[w.name].internal else external).append(w.name)
     return tuple(internal), tuple(external)
+
+
+def interface(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The free boundary ends, in declaration order: (inputs, outputs)."""
+    ins = tuple(w.name for w in c.input_wires if w.in_value is None)
+    outs = tuple(w.name for w in c.output_wires if w.out_value is None)
+    return ins, outs
 
 
 def validate(c: Circuit) -> list[str]:
@@ -331,7 +329,8 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
 
     Segment k of line q is named ``q<k>`` (see ``_segment_names`` for the
     rare clash); control and symmetric legs attach to the current segment
-    without cutting it.
+    without cutting it.  A gate that cuts a line names no line twice (its
+    second read would see its own output); symmetric taps may repeat one.
     """
     names = [ln.name for ln in desc.lines]
     if len(set(names)) != len(names):
@@ -346,6 +345,8 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
         if len(slots) != len(op.qubits):
             raise ValidationError(
                 f"gate {op.gate.name} takes {len(slots)} qubits, got {len(op.qubits)}")
+        if len(set(op.qubits)) < len(op.qubits) and any(s[0] == "pair" for s in slots):
+            raise ValidationError(f"gate {op.gate.name} names one line twice")
         binding: list = [None] * op.gate.n_legs
         for slot, q in zip(slots, op.qubits):
             if slot[0] in ("ctrl", "sym"):

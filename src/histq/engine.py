@@ -54,7 +54,7 @@ from itertools import product as _bitproduct
 import numpy as np
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires,
-                      resolve_boundary)
+                      interface, resolve_boundary)
 from .errors import MaxWiresExceeded, ValidationError
 
 DEFAULT_MAX_WIRES = 40
@@ -89,15 +89,15 @@ class _GateSpec:
 @dataclass(frozen=True, slots=True)
 class _Prepared:
     """The circuit's plan: its gates grouped for the split point ``low``.
-    The high and cross groups hold ``(spec, legs)`` pairs whose legs read
-    ``(bit, place)`` in that stage's lane numbering; a low-only gate reads
-    its own ``var_legs``.  ``reads`` are the low bits mixed gates read."""
+    The low, high and cross groups hold ``(spec, legs)`` pairs whose legs
+    read ``(bit, place)`` in that stage's lane numbering.  ``reads`` are the
+    low bits mixed gates read."""
     internal: tuple[str, ...]
     norm_exponent: int
     histories: int                       # 2^w
     low: int
     scalar: tuple[_GateSpec, ...]        # read no internal wire
-    low_only: tuple[_GateSpec, ...]
+    low_only: tuple[tuple[_GateSpec, tuple], ...]
     high_only: tuple[tuple[_GateSpec, tuple], ...]
     cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
     reads: tuple[int, ...]
@@ -119,24 +119,37 @@ class EvalResult:
 _CALL_LANES = 600
 
 
-def _split_cost(shifts: list[tuple[int, ...]], w: int, low: int) -> int:
-    """Estimated lanes of gate work for one query split at ``low``, given each
-    gate's history shifts (gates that read no internal wire are left out)."""
-    n_low = n_high = n_mixed = 0
-    reads = set()
-    for legs in shifts:
-        if legs[-1] < low:               # legs are sorted
-            n_low += 1
-        elif legs[0] >= low:
-            n_high += 1
+def _groups(specs: list[_GateSpec], low: int) -> tuple[list, list, list, list]:
+    """The gates by stage at split ``low``, each group in ``specs`` order:
+    scalar specs, low-only and high-only ``(spec, legs)`` (high legs counted
+    from bit ``low``), and mixed ``(spec, low legs, high legs)``."""
+    scalar, low_only, high_only, mixed = [], [], [], []
+    for spec in specs:
+        legs = spec.var_legs
+        low_legs = tuple(leg for leg in legs if leg[0] < low)
+        if not legs:
+            scalar.append(spec)
+        elif len(low_legs) == len(legs):
+            low_only.append((spec, legs))
         else:
-            n_mixed += 1
-            reads.update(s for s in legs if s < low)
-    m = len(reads)
+            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
+            if low_legs:
+                mixed.append((spec, low_legs, high_legs))
+            else:
+                high_only.append((spec, high_legs))
+    return scalar, low_only, high_only, mixed
+
+
+def _split_cost(groups: tuple[list, list, list, list], w: int, low: int) -> int:
+    """Estimated lanes of gate work for one query split at ``low``, given the
+    ``_groups`` at that split (scalar gates cost nothing per lane)."""
+    _, low_only, high_only, mixed = groups
+    n_high, n_mixed = len(high_only), len(mixed)
+    m = len({s for _, low_legs, _ in mixed for s, _ in low_legs})
     blocks = 1 << (w - low)
     runs = -(-blocks // max(1, (1 << low) >> m))
     # the low stage adds an arange, the key packing and three bincounts
-    return ((1 << low) * (n_low + 4) + blocks * n_high + (blocks << m) * n_mixed
+    return ((1 << low) * (len(low_only) + 4) + blocks * n_high + (blocks << m) * n_mixed
             + runs * (n_high + n_mixed + 8) * _CALL_LANES)
 
 
@@ -161,24 +174,10 @@ def _build_plan(c: Circuit) -> _Prepared:
                 ext.append((wire, place))
         specs.append(_GateSpec(g.gate.table, g.gate.nonzero_mask,
                                const, tuple(ext), tuple(var)))
-    shifts = [tuple(sorted(s for s, _ in spec.var_legs)) for spec in specs if spec.var_legs]
-    low = min(range(min(w, MAX_LOW) + 1),
-              key=lambda low: _split_cost(shifts, w, low))
-
-    scalar, low_only, high_only, mixed = [], [], [], []
-    for spec in specs:
-        legs = spec.var_legs
-        low_legs = tuple(leg for leg in legs if leg[0] < low)
-        if not legs:
-            scalar.append(spec)
-        elif len(low_legs) == len(legs):
-            low_only.append(spec)
-        else:
-            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
-            if low_legs:
-                mixed.append((spec, low_legs, high_legs))
-            else:
-                high_only.append((spec, high_legs))
+    # the cheapest split; the first of equally cheap ones
+    low, (scalar, low_only, high_only, mixed) = min(
+        ((low, _groups(specs, low)) for low in range(min(w, MAX_LOW) + 1)),
+        key=lambda split: _split_cost(split[1], w, split[0]))
     reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
     slot = {s: r for r, s in enumerate(reads)}
     cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
@@ -254,6 +253,9 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
         return _result(prep, 0j, 0)
     low = prep.low
 
+    def bound(group):
+        return [(spec, _const(spec, assignment), legs) for spec, legs in group]
+
     # gates that read no internal wire: one factor for every history
     scalar = 1 + 0j
     for spec in prep.scalar:
@@ -264,9 +266,7 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
     m = len(prep.reads)
-    h, vals = _run_gates([(spec, _const(spec, assignment), spec.var_legs)
-                          for spec in prep.low_only],
-                         np.arange(1 << low, dtype=np.int64),
+    h, vals = _run_gates(bound(prep.low_only), np.arange(1 << low, dtype=np.int64),
                          np.ones(1 << low, dtype=np.complex128))
     key = np.zeros(len(h), dtype=np.int64)
     for r, s in enumerate(prep.reads):
@@ -280,8 +280,7 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     if len(keys) == 0:
         return _result(prep, 0j, 0)
     marg = marg[keys]
-    high_only = [(spec, _const(spec, assignment), legs) for spec, legs in prep.high_only]
-    cross = [(spec, _const(spec, assignment), legs) for spec, legs in prep.cross]
+    high_only, cross = bound(prep.high_only), bound(prep.cross)
 
     blocks = prep.histories >> low
     per_run = max(1, (1 << low) // len(keys))
@@ -324,14 +323,13 @@ class Distribution:
 
 
 def free_output_ends(c: Circuit, boundary: BoundaryAssignment | None = None) -> list[str]:
-    """Boundary-out ends not pinned in the file or bound by the query."""
+    """The free output ends (``interface``) that the query leaves unbound."""
     bound = boundary.out_bits if boundary else {}
-    return [w.name for w in c.output_wires
-            if w.out_value is None and w.name not in bound]
+    return [name for name in interface(c)[1] if name not in bound]
 
 
 def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, *,
-                        amplitude=None, **opts) -> Distribution:
+                        amplitude=None, max_wires: int | None = None) -> Distribution:
     """Probability of each assignment of the free output ends.
 
     The inputs (and any pinned or queried outputs) come from ``boundary``;
@@ -349,7 +347,7 @@ def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, 
         raise MaxWiresExceeded(
             f"{f} free output ends exceed the hard limit of {HARD_MAX_WIRES} "
             f"(2^{f} output patterns); no setting raises it")
-    limit = resolve_max_wires(opts.get("max_wires"))
+    limit = resolve_max_wires(max_wires)
     w = len(classify_wires(c)[0]) if amplitude is None else 0
     if w + f > limit:
         raise MaxWiresExceeded(
@@ -359,7 +357,7 @@ def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, 
     base_in = dict(boundary.in_bits) if boundary else {}
     base_out = dict(boundary.out_bits) if boundary else {}
     if amplitude is None:
-        amp_fn = lambda b: evaluate(c, b, **opts).value
+        amp_fn = lambda b: evaluate(c, b, max_wires=max_wires).value
     else:
         amp_fn = lambda b: amplitude(c, b)
     probs: dict[str, float] = {}

@@ -36,8 +36,8 @@ from itertools import count
 
 import numpy as np
 
-from .circuit import Circuit, GateInstance, Wire, classify_wires
-from .circuit import BoundaryAssignment
+from .circuit import (BoundaryAssignment, Circuit, GateInstance, Wire, classify_wires,
+                      interface)
 from . import engine
 from .errors import InterfaceMismatch
 from .gates import BUILTIN, GateDef, phase_gate, phase_value
@@ -63,13 +63,6 @@ class PassReport:
 
 def _is_builtin(d: GateDef, name: str) -> bool:
     return d.name == name and d.structural_key() == BUILTIN[name].structural_key()
-
-
-def interface(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The free boundary ends, in declaration order: (inputs, outputs)."""
-    ins = tuple(w.name for w in c.input_wires if w.in_value is None)
-    outs = tuple(w.name for w in c.output_wires if w.out_value is None)
-    return ins, outs
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +241,23 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
 
     ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
     no attachments and nothing the query can bind are dropped.  A wire stays
-    if any gate still touches it, if it had a free boundary end going into
-    the step (those are interface), or if contradictory pins make it the
-    reason every amplitude is zero.
+    if any gate still touches it, if it is one of ``c``'s free ends
+    (``interface``), or if contradictory pins make it the reason every
+    amplitude is zero.
     """
-    attached = {w for g in gates for w in g.wires}
+    before = interface(c)
+    held = {w for g in gates for w in g.wires}.union(*before)
     keep: list[Wire] = []
     orphans: list[str] = []
     for w in c.wires if wires is None else wires:
-        e = c.ends[w.name]
-        free_in = e.in_boundary and w.in_value is None
-        free_out = e.out_boundary and w.out_value is None
         contradictory = (w.in_value is not None and w.out_value is not None
                          and w.in_value != w.out_value)
-        if w.name in attached or free_in or free_out or contradictory:
+        if w.name in held or contradictory:
             keep.append(w)
         else:
             orphans.append(w.name)
     nc = c.replace(wires=tuple(keep), gates=gates, norm_shift=norm_shift)
-    if interface(nc) != interface(c):
+    if interface(nc) != before:
         return None
     return nc, kind, detail, orphans
 
@@ -442,16 +433,21 @@ def apply_passes(c: Circuit, names: list[str]) -> tuple[Circuit, list[PassReport
 # ---------------------------------------------------------------------------
 # equivalence
 
-def equivalent(a: Circuit, b: Circuit, *, tol: float = 1e-10,
-               samples: int = 64, rng: random.Random | None = None) -> tuple[bool, float]:
+EQUIV_TOL = 1e-10      # largest amplitude deviation still counted as equal
+EQUIV_SAMPLES = 64     # queries drawn when there are more than eight free bits
+
+
+def equivalent(a: Circuit, b: Circuit, *,
+               rng: random.Random | None = None) -> tuple[bool, float]:
     """Compare boundary amplitudes of two circuits end by end.
 
     Free ends correspond positionally, the way query bit strings bind them —
     a rewrite may rename a boundary wire but never move or drop an end, so
     position i of one circuit's free inputs is queried together with
     position i of the other's.  Exhaustive over all assignments when there
-    are at most eight free bits, sampled otherwise.  Returns (within
-    tolerance, largest deviation seen), or (False, inf) at the first
+    are at most eight free bits, otherwise ``EQUIV_SAMPLES`` queries drawn
+    from ``rng`` (default: seeded with 0).  Returns (largest deviation seen
+    at most ``EQUIV_TOL``, that deviation), or (False, inf) at the first
     non-finite deviation.  Raises InterfaceMismatch when the end counts
     differ — there is nothing meaningful to compare then.
     """
@@ -465,7 +461,7 @@ def equivalent(a: Circuit, b: Circuit, *, tol: float = 1e-10,
         cases = range(1 << nbits)
     else:
         r = rng or random.Random(0)
-        cases = [r.getrandbits(nbits) for _ in range(samples)]
+        cases = [r.getrandbits(nbits) for _ in range(EQUIV_SAMPLES)]
     worst = 0.0
     for bits in cases:
         def query(ins, outs):
@@ -480,4 +476,4 @@ def equivalent(a: Circuit, b: Circuit, *, tol: float = 1e-10,
         if not math.isfinite(dev):   # NaN would lose every comparison in max()
             return False, math.inf
         worst = max(worst, dev)
-    return worst <= tol, worst
+    return worst <= EQUIV_TOL, worst

@@ -1,18 +1,24 @@
-"""The benchmark's per-layer tracer must find every function it wraps.
+"""The benchmark must still find every library name it calls.
 
 ``bench/spans.py`` replaces library functions at the module attributes
-callers look them up by; a refactor that renames or drops one of them makes
-``--trace 1`` fail.  This catches that here instead of at benchmark time.
+callers look them up by, and the workloads, the self-test and the trace
+probe call the library directly; a refactor that renames, moves or drops one
+of those names makes the benchmark fail.  This catches that here instead of
+at benchmark time.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import histq.rewrite as R
 from histq import parse_circuit
 from histq.examples import TELEPORTATION_TEXT
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -38,3 +44,17 @@ def test_tracer_installs_and_uninstalls():
             "rewrite.constants", "circuit.classify"} <= names
     assert all(getattr(spans._MODULES[m], attr) is fn for (m, attr), fn in before.items())
     assert R.PASSES == passes
+
+
+def test_bench_selftest_and_a_traced_run_pass():
+    # both write only under the checkout's .bench_work/, as the benchmark does
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
+                              text=True, timeout=300)
+
+    selftest = run("bench/selftest.py")
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    traced = run("bench/run.py", "--workload", "wide-sum", "--seed", "1",
+                 "--seconds", "0.01", "--trace", "1")
+    assert traced.returncode == 0, traced.stdout + traced.stderr
+    assert json.loads(traced.stdout.splitlines()[-1])["correct"]

@@ -109,10 +109,6 @@ def test_complement_patterns_are_shared():
 def test_wire_lookup_by_name():
     c = Circuit((w("a", in_bound=True), w("b", out_bound=True)),
                 (GateInstance(BUILTIN["H"], ("a", "b")),))
-    assert c.wire("b") is c.wires[1]
-    assert c.has_wire("a") and not c.has_wire("nope")
-    with pytest.raises(KeyError):
-        c.wire("nope")
     with pytest.raises(KeyError):
         c.ends["nope"]
 
@@ -194,6 +190,16 @@ def test_lower_sequential_segment_name_clash():
     names = [x.name for x in c.wires]
     assert len(set(names)) == len(names) == 23
     assert "q1__10" in names and "q1_10" in names
+
+
+@pytest.mark.parametrize("gate, qubits", [("CNOT", ("a", "a")), ("SWAP", ("a", "a")),
+                                          ("TOFFOLI", ("a", "b", "a"))])
+def test_lower_sequential_rejects_a_line_named_twice(gate, qubits):
+    # SWAP a a would read, as its second input, the segment its first output makes
+    desc = SeqDescription((SeqLine("a", in_value=1), SeqLine("b")),
+                          (SeqOp(BUILTIN[gate], qubits),))
+    with pytest.raises(ValidationError, match="names one line twice"):
+        lower_sequential(desc)
 
 
 def test_lower_sequential_duplicate_line_rejected():

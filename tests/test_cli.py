@@ -248,6 +248,15 @@ def test_bad_max_wires_env_is_usage_error(teleport, capsys, monkeypatch, value):
     assert "HISTQ_MAX_WIRES" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["CNOT a a", "SWAP a a", "TOFFOLI a b a"])
+@pytest.mark.parametrize("cmd", [["run", "--out", "00"], ["dist"], ["compare"]])
+def test_gate_naming_a_line_twice_exit_code(tmp_path, capsys, op, cmd):
+    p = tmp_path / "twice.circuit"
+    p.write_text(f"version 1\nmode seq\nqubit a in=1\nqubit b\napply {op}\n")
+    assert cli.main([cmd[0], str(p), *cmd[1:]]) == 2
+    assert "names one line twice" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.circuit"
     p.write_text("version 1\nmode net\nwire a\ngate NOPE a\n")

@@ -393,8 +393,8 @@ def test_prepare_runs_zero_capable_gates_first(monkeypatch):
         monkeypatch.setattr(engine, "_split_cost", lambda shifts, w, at: abs(at - low))
         plan = engine._build_plan(c)
         assert plan.low == low
-        groups = (plan.scalar, plan.low_only, [spec for spec, _ in plan.high_only],
-                  [spec for spec, _ in plan.cross])
+        groups = (plan.scalar, [spec for spec, _ in plan.low_only],
+                  [spec for spec, _ in plan.high_only], [spec for spec, _ in plan.cross])
         ranks = [[rank[wires_read(spec)] for spec in group] for group in groups]
         # every gate lands in one stage group, in the group in that order
         assert sorted(sum(ranks, [])) == list(range(len(gates)))

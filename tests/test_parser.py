@@ -6,8 +6,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (CircuitError, GateInstance, ParseError, emit_circuit, equivalent,
-                   parse_circuit, phase_gate, validate)
+from histq import (CircuitError, GateInstance, ParseError, canonicalize, emit_circuit,
+                   equivalent, parse_circuit, phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
@@ -26,8 +26,8 @@ def test_teleportation_structure():
     assert [g.gate.name for g in c.gates] == ["H", "CNOT", "CNOT", "H", "CZ", "CNOT"]
     names = [w.name for w in c.wires]
     assert names == ["x0", "x1", "b0", "b1", "b2", "c0", "c1", "c2", "c3"]
-    assert c.wire("b0").in_value == 0 and c.wire("c0").in_value == 0
-    assert c.wire("x0").in_value is None
+    pins = {w.name: w.in_value for w in c.wires}
+    assert pins["b0"] == 0 and pins["c0"] == 0 and pins["x0"] is None
     assert validate(c) == []
 
 
@@ -174,7 +174,7 @@ def test_boundary_bits_checked():
     e = perr("version 1\nmode net\nwire a in=2\n")
     assert "0 or 1" in str(e)
     c = parse_circuit("version 1\nmode net\nwire a in=1 out=0\n")
-    assert c.wire("a").in_value == 1 and c.wire("a").out_value == 0
+    assert (c.wires[0].in_value, c.wires[0].out_value) == (1, 0)
 
 
 def test_emit_parse_round_trip_teleportation():
@@ -206,6 +206,12 @@ def test_parse_of_emit_is_the_identity(seed, complemented):
         c = c.replace(gates=[GateInstance(g.gate, g.wires, tuple(rng.random() < 0.3 for _ in g.wires))
                              for g in c.gates])
     assert parse_circuit(emit_circuit(c)).structural_key() == c.structural_key()
+    # canonical gates carry norm exponents (H becomes a phase with one), which
+    # emit folds into the norm line: the structure changes, the amplitudes not
+    canon = canonicalize(c)
+    back = parse_circuit(emit_circuit(canon))
+    assert back.total_norm_exponent == canon.total_norm_exponent
+    assert equivalent(canon, back)[0]
 
 
 def test_emit_folds_phase_norms():

@@ -216,3 +216,14 @@ def test_random_circuits_match_brute_force():
             {w.name: out_bits[nm] for w, nm in zip(c.output_wires, names)})
         got = amplitude_canonical(c, q)
         assert abs(got - want) < 1e-10, (trial, got, want)
+
+
+def test_phase_may_tap_one_line_twice():
+    # both legs read one segment: the factor is (-1)^a, a Z, and H Z H is X
+    c = parse_circuit("version 1\nmode seq\nqubit a\napply H a\nphase pi a a\napply H a\n")
+    for i in (0, 1):
+        for o in (0, 1):
+            q = BoundaryAssignment({"a0": i}, {"a2": o})
+            dense = amplitude_canonical(c, q)
+            assert abs(evaluate(c, q).value - dense) <= 1e-12
+            assert abs(dense - (i != o)) <= 1e-12
