@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import UnboundWire, ValidationError
-from .gates import GateDef, Role, check_unitary
+from .gates import GateDef, Role
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,21 +192,10 @@ def validate(c: Circuit) -> list[str]:
         if consumers > 1:
             diags.append(f"wire {w.name}: more than one consumer"
                          + (" (boundary binding plus gate input)" if w.out_bound else ""))
-    faults: dict[GateDef, str | None] = {}   # GateDef hashes by identity
     for gi, g in enumerate(c.gates):
-        if g.gate not in faults:
-            faults[g.gate] = _gate_fault(g.gate)
-        if faults[g.gate]:
-            diags.append(f"gate {gi} ({g.gate.name}): {faults[g.gate]}")
+        if g.gate.fault:
+            diags.append(f"gate {gi} ({g.gate.name}): {g.gate.fault}")
     return diags
-
-
-def _gate_fault(d: GateDef) -> str | None:
-    ins, outs = len(d.leg_indices(Role.IN)), len(d.leg_indices(Role.OUT))
-    if ins != outs:
-        return f"{ins} inputs vs {outs} outputs"
-    dev = check_unitary(d)
-    return f"not unitary (deviation {dev:.2e})" if dev > 1e-10 else None
 
 
 def gate_factor(g: GateInstance, history: Mapping[str, int]) -> complex:

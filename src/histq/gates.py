@@ -18,10 +18,11 @@ one matrix per control setting, rows = output bits, columns = input bits.
 ``matrix()`` is its last block (every control 1), ``check_unitary`` loops
 over it, and ``matrix_gate`` builds the entries by the inverse transpose.
 
-A ``GateDef`` is immutable, so what the hot paths read of it (the flat
-entry ``table`` and ``nonzero_mask`` for pruning, ``support`` for constant
-propagation, ``qubit_slots`` for the parser and lowering) is derived once per
-definition and cached.
+A ``GateDef`` is immutable, so what the hot paths read of it is derived once
+per definition and cached: the flat entry ``table`` and ``nonzero_mask`` for
+pruning, ``support`` for constant propagation, ``qubit_slots`` for the parser
+and lowering, and for the passes, ``validate`` and the emitter what the gate
+is (``builtin_name``, ``is_phase``) and what is wrong with it (``fault``).
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ class GateDef:
         """Every nonzero entry as its flat index, ascending: the leg bits of
         that entry packed with leg 0 most significant."""
         return tuple(np.flatnonzero(self.table).tolist())
+
+    @cached_property
+    def builtin_name(self) -> str | None:
+        """The built-in this gate equals by name and ``structural_key``, or None."""
+        b = BUILTIN.get(self.name)
+        return self.name if b is not None and b.structural_key() == self.structural_key() else None
+
+    @cached_property
+    def is_phase(self) -> bool:
+        """Exactly what ``phase_gate(param, n_legs, norm_exponent)`` builds."""
+        return (self.name == "PHASE" and self.param is not None
+                and phase_gate(self.param, self.n_legs, self.norm_exponent).structural_key()
+                == self.structural_key())
+
+    @cached_property
+    def fault(self) -> str | None:
+        """Unbalanced input and output legs, or not unitary; None if neither."""
+        ins, outs = len(self.leg_indices(Role.IN)), len(self.leg_indices(Role.OUT))
+        if ins != outs:
+            return f"{ins} inputs vs {outs} outputs"
+        dev = check_unitary(self)
+        return f"not unitary (deviation {dev:.2e})" if dev > 1e-10 else None
 
     @property
     def is_symmetric(self) -> bool:

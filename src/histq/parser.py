@@ -40,8 +40,7 @@ import numpy as np
 from .circuit import (Circuit, GateInstance, SeqDescription, SeqLine, SeqOp,
                       Wire, lower_sequential)
 from .errors import ParseError
-from .gates import (BUILTIN, MAX_PHASE_LEGS, GateDef, Role, check_unitary,
-                    matrix_gate, phase_gate)
+from .gates import BUILTIN, MAX_PHASE_LEGS, GateDef, Role, matrix_gate, phase_gate
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _DIGITS = re.compile(r"[0-9]+$")
@@ -146,9 +145,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(rl, f"matrix {name}: expected {d} entries per row")
             rows.append([_parse_entry(t, rl) for t in rtoks])
         g = matrix_gate(name, np.array(rows), custom_leg_order=True)
-        dev = check_unitary(g)
-        if dev > 1e-10:
-            raise ParseError(lineno, f"matrix {name} is not unitary (deviation {dev:.2e})")
+        if g.fault:
+            raise ParseError(lineno, f"matrix {name} is {g.fault}")
         custom[name] = g
 
     def parse_flags(toks: list[str], lineno: int):
@@ -315,10 +313,9 @@ def emit_circuit(c: Circuit) -> str:
     for g in c.gates:
         refs = " ".join(ref(n, neg) for n, neg in zip(g.wires, g.negs))
         d = g.gate
-        builtin = BUILTIN.get(d.name)
-        if builtin is not None and builtin.structural_key() == d.structural_key():
+        if d.builtin_name:
             body.append(f"gate {d.name} {refs}".rstrip())
-        elif d.name == "PHASE" and d.is_symmetric and d.param is not None:
+        elif d.is_phase:
             norm += d.norm_exponent
             body.append(f"phase {_format_theta(d.param)} {refs}".rstrip())
         elif d.legs == (Role.OUT,) * (d.n_legs // 2) + (Role.IN,) * (d.n_legs // 2):

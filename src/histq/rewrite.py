@@ -23,7 +23,9 @@ finds them in one worklist pass over the gates that have a zero entry.
 The constant-driven passes share one driver.  A step makes one change (a
 "drop", "trim" or "merge") or returns None; the driver runs each step to
 exhaustion, in order, and repeats the round until no step after the first
-changes anything.
+changes anything.  ``_rebuild`` refuses a step that would move a free end
+or orphan an internal wire, whose two-bit sum was a factor of 2; a pinned
+external wire that no gate touches any more is deleted.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import count
 
-import numpy as np
-
 from .circuit import (BoundaryAssignment, Circuit, GateInstance, Wire, classify_wires,
                       interface)
 from . import engine
 from .errors import InterfaceMismatch
-from .gates import BUILTIN, GateDef, phase_gate, phase_value
+from .gates import BUILTIN, phase_gate
 
 _XOR = BUILTIN["XOR3"]
 _CANON_H = phase_gate(math.pi, 2, norm_exponent=1)
@@ -61,69 +61,8 @@ class PassReport:
         return out
 
 
-def _is_builtin(d: GateDef, name: str) -> bool:
-    return d.name == name and d.structural_key() == BUILTIN[name].structural_key()
-
-
 # ---------------------------------------------------------------------------
 # canonicalize
-
-def _canonicalize_core(c: Circuit, fuse: bool):
-    alias: dict[str, str] = {}
-
-    def find(n: str) -> str:
-        while n in alias:
-            n = alias[n]
-        return n
-
-    state = {w.name: w for w in c.wires}
-    out_gates: list[GateInstance] = []
-    changed = False
-    fused = 0
-    for g in c.gates:
-        d = g.gate
-        if _is_builtin(d, "CNOT"):
-            out_gates.append(GateInstance(_XOR, g.wires, g.negs))
-            changed = True
-        elif _is_builtin(d, "H"):
-            out_gates.append(GateInstance(_CANON_H, g.wires, g.negs))
-            changed = True
-        elif d.name in _DIAG_THETA and _is_builtin(d, d.name):
-            nc = d.n_legs - 2
-            ti, to = find(g.wires[nc]), find(g.wires[nc + 1])
-            ni, no = g.negs[nc], g.negs[nc + 1]
-            ph = phase_gate(_DIAG_THETA[d.name], nc + 1)
-            if ni != no:
-                out_gates.append(g)          # complemented pair: no plain fusion
-                continue
-            if ti == to:
-                out_gates.append(GateInstance(ph, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
-                changed = True
-                continue
-            wa, wb = state[ti], state[to]
-            if not fuse or wa.out_bound or wb.in_bound:
-                out_gates.append(g)          # keep the matrix form unfused
-                continue
-            alias[to] = ti
-            if (wb.out_bound, wb.out_value) != (wa.out_bound, wa.out_value):
-                state[ti] = Wire(ti, wa.in_bound, wa.in_value, wb.out_bound, wb.out_value)
-            del state[to]
-            out_gates.append(GateInstance(ph, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
-            changed = True
-            fused += 1
-        else:
-            out_gates.append(g)
-    if not changed:
-        return c, find, fused
-
-    def renamed(g: GateInstance) -> GateInstance:
-        wires = tuple(find(w) for w in g.wires)
-        return g if wires == g.wires else GateInstance(g.gate, wires, g.negs)
-
-    gates = tuple(map(renamed, out_gates))
-    wires = tuple(state[w.name] for w in c.wires if w.name in state)
-    return c.replace(wires=wires, gates=gates), find, fused
-
 
 def canonicalize(c: Circuit) -> Circuit:
     """Rewrite gates into the three canonical families.
@@ -134,17 +73,62 @@ def canonicalize(c: Circuit) -> Circuit:
     CCZ) becomes PHASE(theta) with the target's in and out wires fused, the
     input-side name surviving.  Anything else is left alone.
 
-    A fusion may relocate a boundary end onto the surviving name; that must
-    keep every free end in its position.  When (only in hand-built netlists
-    with interleaved declarations) it would not, the diagonal gates are left
-    in matrix form instead.
+    Identical entries need not mean identical wire ends: a symmetric leg
+    fills an open end that a control or input leg left open, and a fusion
+    moves ends onto the surviving name.  Where the free ends, renamed
+    through the fusions, would change, the input comes back unchanged.
     """
-    out, find, fused = _canonicalize_core(c, fuse=True)
-    if fused:
-        ins0, outs0 = interface(c)
-        expected = (tuple(find(n) for n in ins0), tuple(find(n) for n in outs0))
-        if interface(out) != expected:
-            out, _, _ = _canonicalize_core(c, fuse=False)
+    alias: dict[str, str] = {}
+
+    def find(n: str) -> str:
+        while n in alias:
+            n = alias[n]
+        return n
+
+    state = {w.name: w for w in c.wires}
+    out_gates: list[GateInstance] = []
+    changed = False
+    for g in c.gates:
+        d = g.gate
+        if d.builtin_name == "CNOT":
+            out_gates.append(GateInstance(_XOR, g.wires, g.negs))
+            changed = True
+        elif d.builtin_name == "H":
+            out_gates.append(GateInstance(_CANON_H, g.wires, g.negs))
+            changed = True
+        elif d.builtin_name in _DIAG_THETA:
+            nc = d.n_legs - 2
+            ti, to = find(g.wires[nc]), find(g.wires[nc + 1])
+            ni, no = g.negs[nc], g.negs[nc + 1]
+            ph = phase_gate(_DIAG_THETA[d.name], nc + 1)
+            if ni != no:
+                out_gates.append(g)          # complemented pair: no plain fusion
+                continue
+            if ti != to:
+                wa, wb = state[ti], state[to]
+                if wa.out_bound or wb.in_bound:
+                    out_gates.append(g)      # a declared end would sit mid-wire
+                    continue
+                alias[to] = ti
+                if (wb.out_bound, wb.out_value) != (wa.out_bound, wa.out_value):
+                    state[ti] = Wire(ti, wa.in_bound, wa.in_value, wb.out_bound, wb.out_value)
+                del state[to]
+            out_gates.append(GateInstance(ph, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
+            changed = True
+        else:
+            out_gates.append(g)
+    if not changed:
+        return c
+
+    def renamed(g: GateInstance) -> GateInstance:
+        wires = tuple(find(w) for w in g.wires)
+        return g if wires == g.wires else GateInstance(g.gate, wires, g.negs)
+
+    out = c.replace(wires=tuple(state[w.name] for w in c.wires if w.name in state),
+                    gates=tuple(map(renamed, out_gates)))
+    ins, outs = interface(c)
+    if interface(out) != (tuple(map(find, ins)), tuple(map(find, outs))):
+        return c
     return out
 
 
@@ -217,14 +201,6 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
     return known
 
 
-def _is_phase_family(d: GateDef) -> bool:
-    """What ``phase_gate`` builds from ``d.param``, so a trim can rebuild it."""
-    if not d.is_symmetric or d.param is None:
-        return False
-    flat = d.table
-    return bool(np.all(flat[:-1] == 1.0) and flat[-1] == phase_value(d.param))
-
-
 def _reads(g: GateInstance, known: dict[str, int]) -> list[int | None]:
     """The constant bit each leg of ``g`` reads, None where it is not constant."""
     return [known[w] ^ int(n) if w in known else None for w, n in zip(g.wires, g.negs)]
@@ -237,7 +213,8 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
              wires: tuple[Wire, ...] | None = None,
              norm_shift: int | None = None) -> Step | None:
     """The step that replaces ``c``'s wires and gates, or None if it would
-    move a free boundary end (the removed gate was holding a wire end closed).
+    move a free boundary end (the removed gate was holding a wire end closed)
+    or orphan an internal wire (see the module docstring).
 
     ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
     no attachments and nothing the query can bind are dropped.  A wire stays
@@ -254,6 +231,8 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
                          and w.in_value != w.out_value)
         if w.name in held or contradictory:
             keep.append(w)
+        elif c.ends[w.name].internal:
+            return None
         else:
             orphans.append(w.name)
     nc = c.replace(wires=tuple(keep), gates=gates, norm_shift=norm_shift)
@@ -269,7 +248,7 @@ def _drop_dead_step(c: Circuit) -> Step | None:
         return None
     for gi, g in enumerate(c.gates):
         d = g.gate
-        if not _is_phase_family(d) or d.n_legs == 0:
+        if not d.is_phase or d.n_legs == 0:
             continue
         reads = _reads(g, known)
         if 0 in reads:
@@ -304,7 +283,7 @@ def _short_xor_step(c: Circuit) -> Step | None:
     ext = set(external)
     order = {w.name: i for i, w in enumerate(c.wires)}
     for gi, g in enumerate(c.gates):
-        if g.gate.structural_key() != _XOR.structural_key():
+        if g.gate.builtin_name != "XOR3":
             continue
         known = compute_constants(c, skip=frozenset([gi]))
         if known is None:

@@ -89,6 +89,10 @@ def test_gate_instance_leg_count_checked():
         GateInstance(BUILTIN["CNOT"], ("a", "b"))
     with pytest.raises(ValidationError):
         GateInstance(BUILTIN["X"], ("a", "b"), negs=(True,))
+    with pytest.raises(ValidationError, match="duplicate wire declaration: a"):
+        Circuit((w("a"), w("b"), w("a")), ())
+    with pytest.raises(ValidationError, match="undeclared wire c"):
+        Circuit((w("a"),), (GateInstance(BUILTIN["X"], ("a", "c")),))
 
 
 def test_wires_and_gate_instances_hold_no_dict():

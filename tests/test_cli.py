@@ -76,6 +76,8 @@ def test_run_rejects_wrong_width(teleport, capsys):
     rc = cli.main(["run", teleport, "--in", "10", "--out", "000"])
     assert rc == 2
     assert "needs 3 characters" in capsys.readouterr().err
+    assert cli.main(["run", teleport, "--in", "2--", "--out", "000"]) == 2
+    assert "characters must be 0, 1 or -" in capsys.readouterr().err
 
 
 def test_run_unbound_end(teleport, capsys):
@@ -170,6 +172,10 @@ def test_count_exact_line(tmp_path, capsys):
     p2.write_text(EXAMPLES["three-stage"])
     cli.main(["count", str(p2)])
     assert capsys.readouterr().out == "internal_wires=6 histories=64\n"
+    with pytest.raises(SystemExit) as ei:   # count takes no query
+        cli.main(["count", str(p2), "--in", "0"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --in 0" in capsys.readouterr().err
 
 
 def test_bent_wire_runs_only_by_histories(tmp_path, capsys):
@@ -180,6 +186,11 @@ def test_bent_wire_runs_only_by_histories(tmp_path, capsys):
     rc = cli.main(["run", str(p), "--engine", "canonical"])
     assert rc == 3
     assert "no gate schedule" in capsys.readouterr().err
+    for body, msg in [("gate CNOT a a b", "binds one qubit to two roles"),
+                      ("phase pi a b", "binds symmetric legs to wire ends")]:
+        p.write_text(f"version 1\nmode net\nwire a in\nwire b out\n{body}\n")
+        assert cli.main(["compare", str(p), "--in", "0", "--out", "0"]) == 3
+        assert msg in capsys.readouterr().err
 
 
 def test_guard_exit_code(teleport, capsys, monkeypatch):
@@ -263,6 +274,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", str(p)])
     assert rc == 2
     assert "line 4" in capsys.readouterr().err
+    # parses, but fails validate
+    p.write_text("version 1\nmode net\nwire a in\nwire b\ngate X a b\ngate X a b\n")
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "wire a: more than one consumer" in err and "wire b: more than one producer" in err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

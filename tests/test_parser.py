@@ -6,8 +6,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (CircuitError, GateInstance, ParseError, canonicalize, emit_circuit,
-                   equivalent, parse_circuit, phase_gate, validate)
+from histq import (Circuit, CircuitError, GateDef, GateInstance, ParseError, Role, Wire,
+                   canonicalize, emit_circuit, equivalent, parse_circuit, phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
@@ -158,7 +158,7 @@ def test_custom_matrix_block():
 
 def test_custom_matrix_must_be_unitary():
     e = perr("version 1\nmode net\nmatrix B 1\n1:0 1:0\n0:0 1:0\nwire a in\n")
-    assert e.line == 3 and "not unitary" in str(e)
+    assert e.line == 3 and str(e).endswith("matrix B is not unitary (deviation 1.00e+00)")
 
 
 def test_matrix_row_shape_checked():
@@ -221,6 +221,21 @@ def test_emit_folds_phase_norms():
     c = parse_circuit(text)
     assert emit_circuit(c) == ("version 1\nmode net\nnorm 1\n"
                                "wire a in\nwire b out\nphase pi a b\n")
+
+
+def test_emit_refuses_a_gate_it_cannot_write_exactly():
+    # named PHASE, but its last entry is not e^{0.5i}: a phase line would change it
+    fake = GateDef("PHASE", (Role.SYM, Role.SYM), [[1, 1], [1, 1j]], param=0.5)
+    wires = (Wire("a", in_bound=True), Wire("b", out_bound=True))
+    with pytest.raises(ValueError, match="no file representation"):
+        emit_circuit(Circuit(wires, (GateInstance(fake, ("a", "b")),)))
+    # what phase_gate builds is written exactly, canonical H's exponent on the norm line
+    for d in (phase_gate(0.5, 2), phase_gate(math.pi, 2, norm_exponent=1)):
+        c = Circuit(wires, (GateInstance(d, ("a", "b")),))
+        back = parse_circuit(emit_circuit(c))
+        assert emit_circuit(back) == emit_circuit(c)
+        assert back.total_norm_exponent == c.total_norm_exponent
+        assert equivalent(c, back) == (True, 0.0)
 
 
 def test_comments_and_blank_lines_ignored():

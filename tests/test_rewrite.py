@@ -303,22 +303,55 @@ def complemented(c, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_passes_on_complemented_reads(seed, canonical):
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sequential", "canonical", "netlist"]))
+def test_passes_on_complemented_reads(seed, source):
     rng = random.Random(seed)
-    c = random_circuit(rng, g_max=10)
-    c = complemented(canonicalize(c) if canonical else c, rng)
-    for name in PASSES:
-        out, _ = apply_passes(c, [name])
+    if source == "netlist":
+        # any gate on any wires; about a quarter of the draws pass validate
+        while validate(c := random_netlist(rng)):
+            pass
+    else:
+        c = random_circuit(rng, g_max=10)
+        c = complemented(canonicalize(c) if source == "canonical" else c, rng)
+    ends = [len(side) for side in interface(c)]
+    for names in [[name] for name in PASSES] + [list(DEFAULT_PASSES)]:
+        out, _ = apply_passes(c, names)
+        assert [len(side) for side in interface(out)] == ends, names
         ok, dev = equivalent(c, out, rng=random.Random(5))
-        assert ok, (name, dev)
+        assert ok, (names, dev)
         text = emit_circuit(out)
         assert emit_circuit(parse_circuit(text)) == text
-        if name != "canonicalize":
+        if names[0] != "canonicalize":
             # the constant passes stop at a fixed point
-            again, (rep,) = apply_passes(out, [name])
-            assert not rep.changed, (name, rep.lines())
+            again, (rep,) = apply_passes(out, names)
+            assert not rep.changed, (names, rep.lines())
             assert again.structural_key() == out.structural_key()
+
+
+@pytest.mark.parametrize("body, name", [
+    # a symmetric leg fills the open, undeclared end that H's input leg left:
+    # the free input a would become a free output
+    ("wire a\nwire b out\ngate H a b\n", "canonicalize"),
+    # the parity gate fills both open ends of c, which CNOT's control only tapped
+    ("wire c\nwire a in\nwire b out\ngate CNOT c a b\n", "canonicalize"),
+    # a one-wire loop: the one-leg phase would open a free output on a
+    ("wire q in out\nwire a\ngate Z a a\n", "canonicalize"),
+    # the fusion would move b's free output ahead of x's
+    ("wire a in\nwire x out\nwire b out\ngate Z a b\n", "canonicalize"),
+    # dropping the gate orphans w, whose two-bit sum was a factor of 2
+    ("wire a in=0 out=0\nwire w\nwire q in out\ngate XOR3 a w w\n", "short-xor"),
+    ("wire a in=0 out=0\nwire w\nwire q in out\ngate XOR3 a w w\n", "propagate"),
+    ("wire x in=0 out=0\nwire w\nphase pi/2 x w w\n", "drop-dead"),
+    ("wire x in=0 out=0\nwire w\nphase pi/2 x w w\n", "propagate"),
+], ids=["h-input", "cnot-control", "z-loop", "interleaved", "xor-short", "xor-propagate",
+        "phase-drop", "phase-propagate"])
+def test_a_step_that_would_move_an_end_or_lose_a_sum_is_refused(body, name):
+    c = net(body)
+    assert validate(c) == []
+    out, (rep,) = apply_passes(c, [name])
+    assert not rep.changed and out.structural_key() == c.structural_key()
+    assert interface(out) == interface(c)
+    assert equivalent(c, out)[0]
 
 
 # sha256 over the pinned run below, recorded from the implementation whose
@@ -353,6 +386,13 @@ def test_equivalent_detects_difference():
     b = net("wire p in\nwire q out\ngate I p q\n")
     ok, dev = equivalent(a, b)
     assert not ok and dev == 1.0
+    # ten free bits: sampled queries, and every one of them differs in sign
+    h5 = "".join(f"qubit q{i}\n" for i in range(5)) + "".join(f"apply H q{i}\n" for i in range(5))
+    a = parse_circuit("version 1\nmode seq\n" + h5)
+    b = parse_circuit("version 1\nmode seq\n" + h5 + "phase pi\n")
+    assert equivalent(a, a) == (True, 0.0)
+    ok, dev = equivalent(a, b)
+    assert not ok and dev == pytest.approx(2 * 2 ** -2.5)
 
 
 def test_equivalent_rejects_mismatched_interfaces():
