@@ -29,48 +29,66 @@ from .errors import UnboundWire, ValidationError
 from .gates import GateDef, Role
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__   # what a frozen dataclass's own __init__ calls
+
+
+# Wire and GateInstance write their __init__ by hand rather than through a
+# generated one plus __post_init__: loading a file builds one of each per
+# gate, and setting each field once is the larger share of that.
+
+@dataclass(frozen=True, slots=True, init=False)
 class Wire:
     name: str
-    in_bound: bool = False          # begins at the circuit boundary
-    in_value: int | None = None     # pinned input bit, if any
-    out_bound: bool = False
-    out_value: int | None = None
+    in_bound: bool          # begins at the circuit boundary
+    in_value: int | None    # pinned input bit, if any
+    out_bound: bool
+    out_value: int | None
 
-    def __post_init__(self):
-        if self.in_value not in (None, 0, 1) or self.out_value not in (None, 0, 1):
-            raise ValidationError(f"wire {self.name}: a pinned bit must be 0 or 1, "
-                                  f"got in={self.in_value!r} out={self.out_value!r}")
-        if self.in_value is not None and not self.in_bound:
-            object.__setattr__(self, "in_bound", True)
-        if self.out_value is not None and not self.out_bound:
-            object.__setattr__(self, "out_bound", True)
+    def __init__(self, name: str, in_bound: bool = False, in_value: int | None = None,
+                 out_bound: bool = False, out_value: int | None = None):
+        if in_value is not None or out_value is not None:
+            if in_value not in (None, 0, 1) or out_value not in (None, 0, 1):
+                raise ValidationError(f"wire {name}: a pinned bit must be 0 or 1, "
+                                      f"got in={in_value!r} out={out_value!r}")
+            if in_value is not None and not in_bound:
+                in_bound = True
+            if out_value is not None and not out_bound:
+                out_bound = True
+        _set(self, "name", name)
+        _set(self, "in_bound", in_bound)
+        _set(self, "in_value", in_value)
+        _set(self, "out_bound", out_bound)
+        _set(self, "out_value", out_value)
 
 
 # One shared tuple per complement pattern: most gates read no wire
-# complemented, and n legs allow at most 2^n patterns.
+# complemented, and n legs allow at most 2^n patterns.  The default, no leg
+# complemented, is looked up by leg count.
 _NEGS: dict[tuple[bool, ...], tuple[bool, ...]] = {}
+_PLAIN: dict[int, tuple[bool, ...]] = {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GateInstance:
     gate: GateDef
     wires: tuple[str, ...]
-    negs: tuple[bool, ...] = ()  # per-leg complemented reads (from NOT-merges)
+    negs: tuple[bool, ...]   # per-leg complemented reads (from NOT-merges)
 
-    def __post_init__(self):
-        n = self.gate.n_legs
-        if len(self.wires) != n:
-            raise ValidationError(
-                f"gate {self.gate.name} has {n} legs, got {len(self.wires)} wires")
-        negs = self.negs
-        if len(negs) != n:
-            if negs:
-                raise ValidationError("negation flags must match leg count")
-            negs = (False,) * n
-        shared = _NEGS.setdefault(negs, negs)
-        if shared is not self.negs:
-            object.__setattr__(self, "negs", shared)
+    def __init__(self, gate: GateDef, wires: tuple[str, ...], negs: tuple[bool, ...] = ()):
+        n = len(gate.legs)
+        if len(wires) != n:
+            raise ValidationError(f"gate {gate.name} has {n} legs, got {len(wires)} wires")
+        if not negs:
+            shared = _PLAIN.get(n)
+            if shared is None:
+                shared = _PLAIN[n] = _NEGS.setdefault((False,) * n, (False,) * n)
+        elif len(negs) != n:
+            raise ValidationError("negation flags must match leg count")
+        else:
+            shared = _NEGS.setdefault(negs, negs)
+        _set(self, "gate", gate)
+        _set(self, "wires", wires)
+        _set(self, "negs", shared)
 
 
 @dataclass(frozen=True)
@@ -182,10 +200,17 @@ def interface(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def validate(c: Circuit) -> list[str]:
     """Structural diagnostics; an empty list means the circuit is well formed."""
     diags: list[str] = []
-    legs = Counter((wname, role) for g in c.gates for wname, role in zip(g.wires, g.gate.legs))
+    produced = dict.fromkeys([w.name for w in c.wires], 0)
+    consumed = produced.copy()
+    for g in c.gates:
+        ws = g.wires
+        for li in g.gate.out_legs:
+            produced[ws[li]] += 1
+        for li in g.gate.in_legs:
+            consumed[ws[li]] += 1
     for w in c.wires:
-        producers = legs[w.name, Role.OUT] + w.in_bound
-        consumers = legs[w.name, Role.IN] + w.out_bound
+        producers = produced[w.name] + w.in_bound
+        consumers = consumed[w.name] + w.out_bound
         if producers > 1:
             diags.append(f"wire {w.name}: more than one producer"
                          + (" (boundary binding plus gate output)" if w.in_bound else ""))
@@ -271,93 +296,101 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
 # ---------------------------------------------------------------------------
 # sequential descriptions
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqLine:
     name: str
     in_value: int | None = None
     out_value: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqOp:
     gate: GateDef
     qubits: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqDescription:
     lines: tuple[SeqLine, ...]
     ops: tuple[SeqOp, ...]
+    norm_shift: int = 0
 
 
-def _segment_names(counts: Mapping[str, int]) -> dict[str, list[str]]:
-    """Name segment k of line q ``q<k>``, unless another segment shares that name.
+def _rename_clashes(desc: SeqDescription, segs: Mapping[str, list[str]],
+                    gates: list[GateInstance]) -> list[GateInstance]:
+    """Rename the segments whose plain name ``q<k>`` another segment shares
+    (line ``q1`` cut ten times and line ``q11`` both give ``q110``): each
+    takes ``q_<k>`` instead, with as many underscores as it takes to be
+    unique, so every segment name is distinct.
 
-    Clashing segments (line ``q1`` cut ten times and line ``q11`` both give
-    ``q110``) take ``q_<k>`` instead, with as many underscores as it takes to
-    be unique, so every segment name is distinct.
+    Renames in ``segs`` in place and returns ``gates`` reading the new names.
+    A leg's line is the qubit its slot binds, and its plain name gives k.
     """
-    plain = Counter(f"{q}{k}" for q, n in counts.items() for k in range(n))
+    plain = Counter(s for line in segs.values() for s in line)
     taken = set(plain)
-    names: dict[str, list[str]] = {}
-    for q, n in counts.items():
-        names[q] = []
-        for k in range(n):
-            name = f"{q}{k}"
+    for q, line in segs.items():
+        for k, name in enumerate(line):
             if plain[name] > 1:
                 sep = "_"
                 while (name := f"{q}{sep}{k}") in taken:
                     sep += "_"
                 taken.add(name)
-            names[q].append(name)
-    return names
+                line[k] = name
+    renamed = []
+    for op, g in zip(desc.ops, gates):
+        wires = list(g.wires)
+        for slot, q in zip(op.gate.qubit_slots(), op.qubits):
+            for leg in slot[1:]:
+                wires[leg] = segs[q][int(wires[leg][len(q):])]
+        renamed.append(GateInstance(g.gate, tuple(wires)))
+    return renamed
 
 
 def lower_sequential(desc: SeqDescription) -> Circuit:
     """Cut each qubit line into wire segments at the gates that act on it.
 
-    Segment k of line q is named ``q<k>`` (see ``_segment_names`` for the
+    Segment k of line q is named ``q<k>`` (see ``_rename_clashes`` for the
     rare clash); control and symmetric legs attach to the current segment
     without cutting it.  A gate that cuts a line names no line twice (its
     second read would see its own output); symmetric taps may repeat one.
     """
-    names = [ln.name for ln in desc.lines]
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate qubit line")
-    cuts = {name: 0 for name in names}   # segment k of line q is (q, k)
-    bound: list[tuple[GateDef, list[tuple[str, int]]]] = []
-    for op in desc.ops:
-        for q in op.qubits:
-            if q not in cuts:
-                raise ValidationError(f"gate {op.gate.name} names unknown line {q}")
-        slots = op.gate.qubit_slots()
-        if len(slots) != len(op.qubits):
-            raise ValidationError(
-                f"gate {op.gate.name} takes {len(slots)} qubits, got {len(op.qubits)}")
-        if len(set(op.qubits)) < len(op.qubits) and any(s[0] == "pair" for s in slots):
-            raise ValidationError(f"gate {op.gate.name} names one line twice")
-        binding: list = [None] * op.gate.n_legs
-        for slot, q in zip(slots, op.qubits):
-            if slot[0] in ("ctrl", "sym"):
-                binding[slot[1]] = (q, cuts[q])
-            else:
-                _, in_leg, out_leg = slot
-                binding[in_leg] = (q, cuts[q])
-                cuts[q] += 1
-                binding[out_leg] = (q, cuts[q])
-        bound.append((op.gate, binding))
-
-    segs = _segment_names({q: n + 1 for q, n in cuts.items()})
-    gates = [GateInstance(g, tuple(segs[q][k] for q, k in binding))
-             for g, binding in bound]
-    wires: list[Wire] = []
+    segs: dict[str, list[str]] = {}     # line -> its segment names so far
     for ln in desc.lines:
-        first, last = segs[ln.name][0], segs[ln.name][-1]
-        for s in segs[ln.name]:
-            wires.append(Wire(
-                s,
-                in_bound=(s == first), in_value=ln.in_value if s == first else None,
-                out_bound=(s == last), out_value=ln.out_value if s == last else None))
+        if ln.name in segs:
+            raise ValidationError("duplicate qubit line")
+        segs[ln.name] = [ln.name + "0"]
+    gates: list[GateInstance] = []
+    for op in desc.ops:
+        g, qs = op.gate, op.qubits
+        for q in qs:
+            if q not in segs:
+                raise ValidationError(f"gate {g.name} names unknown line {q}")
+        slots = g.qubit_slots()
+        if len(slots) != len(qs):
+            raise ValidationError(f"gate {g.name} takes {len(slots)} qubits, got {len(qs)}")
+        if g.cuts_line and len(qs) > 1 and len(set(qs)) < len(qs):
+            raise ValidationError(f"gate {g.name} names one line twice")
+        wires: list = [None] * len(g.legs)
+        for slot, q in zip(slots, qs):
+            line = segs[q]
+            wires[slot[1]] = line[-1]
+            if slot[0] == "pair":
+                line.append(f"{q}{len(line)}")
+                wires[slot[2]] = line[-1]
+        gates.append(GateInstance(g, tuple(wires)))
+    names = [name for line in segs.values() for name in line]
+    if len(set(names)) < len(names):
+        gates = _rename_clashes(desc, segs, gates)
+
+    out: list[Wire] = []
     # a line both starts and ends at the boundary even if gates cut it in
     # between; single-segment lines carry both flags on one wire
-    return Circuit(wires, gates)
+    for ln in desc.lines:
+        first, *mid = segs[ln.name]
+        if not mid:
+            out.append(Wire(first, True, ln.in_value, True, ln.out_value))
+            continue
+        out.append(Wire(first, True, ln.in_value))
+        out.extend(map(Wire, mid[:-1]))
+        out.append(Wire(mid[-1], False, None, True, ln.out_value))
+    return Circuit(out, gates, desc.norm_shift)

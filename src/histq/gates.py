@@ -20,9 +20,13 @@ over it, and ``matrix_gate`` builds the entries by the inverse transpose.
 
 A ``GateDef`` is immutable, so what the hot paths read of it is derived once
 per definition and cached: the flat entry ``table`` and ``nonzero_mask`` for
-pruning, ``support`` for constant propagation, ``qubit_slots`` for the parser
-and lowering, and for the passes, ``validate`` and the emitter what the gate
-is (``builtin_name``, ``is_phase``) and what is wrong with it (``fault``).
+pruning, ``support`` for constant propagation, and for the passes,
+``validate`` and the emitter what the gate is (``builtin_name``,
+``is_phase``) and what is wrong with it (``fault``).  Loading a file reads
+the leg facts: ``in_legs`` and ``out_legs`` (the input and output leg
+indices, which ``validate`` counts as consumers and producers),
+``qubit_slots`` and ``cuts_line`` for lowering, and ``is_sequential`` for
+the parser's ``apply``.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class GateDef:
     @cached_property
     def fault(self) -> str | None:
         """Unbalanced input and output legs, or not unitary; None if neither."""
-        ins, outs = len(self.leg_indices(Role.IN)), len(self.leg_indices(Role.OUT))
+        ins, outs = len(self.in_legs), len(self.out_legs)
         if ins != outs:
             return f"{ins} inputs vs {outs} outputs"
         dev = check_unitary(self)
@@ -113,8 +117,13 @@ class GateDef:
         """Directed gate: input/output legs plus optional controls, no symmetric legs."""
         return Role.SYM not in self.legs and Role.IN in self.legs
 
-    def leg_indices(self, role: Role) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.legs) if r is role)
+    @cached_property
+    def in_legs(self) -> tuple[int, ...]:
+        return tuple(i for i, r in enumerate(self.legs) if r is Role.IN)
+
+    @cached_property
+    def out_legs(self) -> tuple[int, ...]:
+        return tuple(i for i, r in enumerate(self.legs) if r is Role.OUT)
 
     def qubit_slots(self) -> tuple[tuple, ...]:
         """How ``apply`` binds qubit lines to legs, one slot per qubit argument.
@@ -126,7 +135,7 @@ class GateDef:
 
     @cached_property
     def _qubit_slots(self) -> tuple[tuple, ...]:
-        outs = self.leg_indices(Role.OUT)
+        outs = self.out_legs
         slots = []
         n_in = 0
         for i, r in enumerate(self.legs):
@@ -139,14 +148,24 @@ class GateDef:
                 slots.append(("sym", i))
         return tuple(slots)
 
+    @cached_property
+    def cuts_line(self) -> bool:
+        """Some qubit argument pairs an input leg with an output leg, so
+        lowering ends that line's segment here."""
+        return any(s[0] == "pair" for s in self._qubit_slots)
+
+    @cached_property
+    def is_sequential(self) -> bool:
+        """``apply`` can bind it: one slot per qubit, none of them symmetric."""
+        return bool(self._qubit_slots) and all(s[0] != "sym" for s in self._qubit_slots)
+
     def blocks(self) -> np.ndarray:
         """The entries as one matrix per setting of the other legs, shape
         (2^others, 2^outputs, 2^inputs): rows = output-leg bits, columns =
         input-leg bits.  The other legs (controls, and symmetric legs of a
         mixed gate) index the blocks in leg order, so the last block has
         them all at 1."""
-        outs = self.leg_indices(Role.OUT)
-        ins = self.leg_indices(Role.IN)
+        outs, ins = self.out_legs, self.in_legs
         rest = tuple(i for i, r in enumerate(self.legs) if r not in (Role.IN, Role.OUT))
         return np.transpose(self.entries, rest + outs + ins).reshape(
             -1, 2 ** len(outs), 2 ** len(ins))
@@ -156,7 +175,7 @@ class GateDef:
         bits (controls fixed to 1 on both sides)."""
         if Role.SYM in self.legs:
             raise ValueError(f"gate {self.name} has symmetric legs, so no rows or columns")
-        n_in, n_out = len(self.leg_indices(Role.IN)), len(self.leg_indices(Role.OUT))
+        n_in, n_out = len(self.in_legs), len(self.out_legs)
         if n_in != n_out:
             raise ValueError(f"gate {self.name} has {n_in} inputs but {n_out} outputs")
         return self.blocks()[-1]
@@ -171,7 +190,7 @@ def check_unitary(g: GateDef) -> float:
     skipped (no row/column split)."""
     if not g.is_matrix_style:
         return 0.0
-    if len(g.leg_indices(Role.IN)) != len(g.leg_indices(Role.OUT)):
+    if len(g.in_legs) != len(g.out_legs):
         raise ValueError(f"gate {g.name}: unbalanced input/output legs")
     m = g.blocks() * 2.0 ** (-g.norm_exponent / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):

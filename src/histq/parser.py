@@ -49,10 +49,6 @@ _FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|
 _PI_FORM = re.compile(r"(-?)pi(?:/([0-9]+))?$")
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def parse_theta(tok: str, lineno: int) -> float:
     m = _PI_FORM.match(tok)
     if m:
@@ -90,16 +86,12 @@ def _wire_ref(tok: str, lineno: int) -> tuple[str, bool]:
 def parse_circuit(text: str) -> Circuit:
     """Parse a circuit file; raises ParseError with a 1-based line number."""
     lines = text.splitlines()
-    pos = 0
+    # (1-based line number, tokens) of each line that is not blank or a comment
+    numbered = ((lineno, toks) for lineno, line in enumerate(lines, 1)
+                if (toks := line.split("#", 1)[0].split()))
 
     def next_line() -> tuple[int, list[str]] | None:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            toks = _strip(lines[pos - 1]).split()
-            if toks:
-                return pos, toks
-        return None
+        return next(numbered, None)
 
     got = next_line()
     if got is None or got[1] != ["version", "1"]:
@@ -177,8 +169,7 @@ def parse_circuit(text: str) -> Circuit:
     seq_ops: list[SeqOp] = []
     declared: set[str] = set()
 
-    while (got := next_line()) is not None:
-        lineno, toks = got
+    for lineno, toks in numbered:
         head = toks[0]
         if head == "matrix":
             parse_matrix(toks, lineno)
@@ -229,18 +220,19 @@ def parse_circuit(text: str) -> Circuit:
             if len(toks) < 2:
                 raise ParseError(lineno, "usage: apply <NAME> <qubit>...")
             g = lookup_gate(toks[1], lineno)
-            slots = g.qubit_slots()
-            if not slots or any(s[0] == "sym" for s in slots):
+            if not g.is_sequential:
                 raise ParseError(lineno, f"gate {g.name} has no sequential form")
-            if len(toks) - 2 != len(slots):
-                raise ParseError(lineno, f"gate {g.name} takes {len(slots)} qubits, "
-                                         f"got {len(toks) - 2}")
-            for q in toks[2:]:
-                if q.startswith("~"):
-                    raise ParseError(lineno, "complemented reads are a net-mode notation")
-                if q not in declared:
-                    raise ParseError(lineno, f"undeclared qubit {q}")
-            seq_ops.append(SeqOp(g, tuple(toks[2:])))
+            qs = tuple(toks[2:])
+            if len(qs) != len(g.qubit_slots()):
+                raise ParseError(lineno, f"gate {g.name} takes {len(g.qubit_slots())} qubits, "
+                                         f"got {len(qs)}")
+            if not declared.issuperset(qs):
+                for q in qs:
+                    if q.startswith("~"):
+                        raise ParseError(lineno, "complemented reads are a net-mode notation")
+                    if q not in declared:
+                        raise ParseError(lineno, f"undeclared qubit {q}")
+            seq_ops.append(SeqOp(g, qs))
         elif head == "phase":
             if len(toks) < 2:
                 raise ParseError(lineno, "usage: phase <theta> [<wire>...]")
@@ -264,8 +256,7 @@ def parse_circuit(text: str) -> Circuit:
 
     if mode == "net":
         return Circuit(wires, gates, norm_shift=norm_shift)
-    lowered = lower_sequential(SeqDescription(tuple(seq_lines), tuple(seq_ops)))
-    return lowered.replace(norm_shift=norm_shift)
+    return lower_sequential(SeqDescription(tuple(seq_lines), tuple(seq_ops), norm_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +276,24 @@ def _format_theta(theta: float) -> str:
     return repr(theta)
 
 
+def _is_file_matrix(d: GateDef) -> bool:
+    """Whether a ``matrix`` block writes ``d`` so that the parser reads it
+    back: legs (outputs..., inputs...) on 1..4 qubits, a name free for a
+    custom gate, and a unitary matrix."""
+    k = d.n_legs // 2
+    return (1 <= k <= 4 and d.legs == (Role.OUT,) * k + (Role.IN,) * k
+            and bool(_NAME.match(d.name)) and d.name not in BUILTIN and d.name != "PHASE"
+            and d.fault is None)
+
+
 def emit_circuit(c: Circuit) -> str:
     """Write a circuit back out as a net-mode file.
 
     Gate-level normalization exponents that the directives cannot carry (a
     rewritten Hadamard keeps its 1/sqrt(2) as ``norm_exponent=1`` on a phase
     gate) are folded into one ``norm`` line; the total exponent, and with it
-    every report, is unchanged.
+    every report, is unchanged.  A gate that no line writes so that
+    ``parse_circuit`` reads it back exactly raises ``ValueError``.
     """
     out = ["version 1", "mode net"]
     norm = c.norm_shift
@@ -315,10 +317,10 @@ def emit_circuit(c: Circuit) -> str:
         d = g.gate
         if d.builtin_name:
             body.append(f"gate {d.name} {refs}".rstrip())
-        elif d.is_phase:
+        elif d.is_phase and d.n_legs <= MAX_PHASE_LEGS:
             norm += d.norm_exponent
             body.append(f"phase {_format_theta(d.param)} {refs}".rstrip())
-        elif d.legs == (Role.OUT,) * (d.n_legs // 2) + (Role.IN,) * (d.n_legs // 2):
+        elif _is_file_matrix(d):
             if d.name not in emitted_custom:
                 emitted_custom[d.name] = d
                 k = d.n_legs // 2

@@ -25,7 +25,10 @@ The constant-driven passes share one driver.  A step makes one change (a
 exhaustion, in order, and repeats the round until no step after the first
 changes anything.  ``_rebuild`` refuses a step that would move a free end
 or orphan an internal wire, whose two-bit sum was a factor of 2; a pinned
-external wire that no gate touches any more is deleted.
+external wire that no gate touches any more is deleted.  A merge that would
+leave the surviving wire two producers or two consumers, a declared
+boundary end counting as one, is refused before that, so that every output
+of a circuit ``validate`` accepts passes ``validate`` too.
 """
 
 from __future__ import annotations
@@ -214,7 +217,9 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
              norm_shift: int | None = None) -> Step | None:
     """The step that replaces ``c``'s wires and gates, or None if it would
     move a free boundary end (the removed gate was holding a wire end closed)
-    or orphan an internal wire (see the module docstring).
+    or orphan an internal wire (see the module docstring).  The third
+    refusal, a merge that would give one wire two producers or two
+    consumers, is made by ``_short_xor_step`` before it builds the step.
 
     ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
     no attachments and nothing the query can bind are dropped.  A wire stays
@@ -277,6 +282,22 @@ def _rename(g: GateInstance, loser: str | None, survivor: str, parity: int) -> G
                               for w, n in zip(g.wires, g.negs)))
 
 
+def _merge_keeps_one_producer_and_consumer(c: Circuit, survivor: Wire, loser: str) -> bool:
+    """Whether the wire that merging ``loser`` into ``survivor`` leaves has at
+    most one producer and one consumer, its declared ends counted: the rule
+    ``validate`` applies, checked for the merged pair alone."""
+    pair = (survivor.name, loser)
+    producers, consumers = survivor.in_bound, survivor.out_bound
+    for g in c.gates:
+        ws = g.wires
+        if pair[0] in ws or loser in ws:
+            for li in g.gate.out_legs:
+                producers += ws[li] in pair
+            for li in g.gate.in_legs:
+                consumers += ws[li] in pair
+    return producers <= 1 and consumers <= 1
+
+
 def _short_xor_step(c: Circuit) -> Step | None:
     """One interface-preserving parity-gate short, or None."""
     _, external = classify_wires(c)
@@ -303,6 +324,8 @@ def _short_xor_step(c: Circuit) -> Step | None:
                 # the surviving name: an external wire always wins, then declaration order
                 if (t in ext, -order[t]) > (u in ext, -order[u]):
                     u, t = t, u
+                if not _merge_keeps_one_producer_and_consumer(c, c.wires[order[u]], t):
+                    continue
                 loser, detail = t, f"{t}->{u}~{parity}"
             gates = tuple(_rename(og, loser, u, parity)
                           for gj, og in enumerate(c.gates) if gj != gi)
@@ -365,8 +388,9 @@ def short_xor_constant(c: Circuit) -> tuple[Circuit, PassReport]:
     are equal" (v=0) or "complementary" (v=1).  That is a wire identification
     with a complement bit: every read of the losing wire becomes a read of
     the survivor, complemented where the two differ, so the gate can go.  Merging two
-    free boundary wires would collapse distinct query ends, and a short may
-    not open a new boundary end; such candidates are skipped.  When one wire
+    free boundary wires would collapse distinct query ends, a short may
+    not open a new boundary end, and the merged wire may not have two
+    producers or two consumers; such candidates are skipped.  When one wire
     of the merged pair is external it keeps its name.
     """
     c, _, changes, orphans = _fixpoint(c, [_short_xor_step])

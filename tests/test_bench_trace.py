@@ -4,7 +4,8 @@
 callers look them up by, and the workloads, the self-test and the trace
 probe call the library directly; a refactor that renames, moves or drops one
 of those names makes the benchmark fail.  This catches that here instead of
-at benchmark time.
+at benchmark time, and so does one short untraced rewrite run for a parser
+or pass change that breaks the rewrite workload's inputs or checks.
 """
 
 import importlib.util
@@ -58,3 +59,9 @@ def test_bench_selftest_and_a_traced_run_pass():
                  "--seconds", "0.01", "--trace", "1")
     assert traced.returncode == 0, traced.stdout + traced.stderr
     assert json.loads(traced.stdout.splitlines()[-1])["correct"]
+    # one round of the rewrite workload: parse, lower, validate and the
+    # default passes on every input, each answer checked
+    rewrite = run("bench/run.py", "--workload", "rewrite", "--seed", "1",
+                  "--seconds", "0.01", "--trace", "0")
+    assert rewrite.returncode == 0, rewrite.stdout + rewrite.stderr
+    assert json.loads(rewrite.stdout.splitlines()[-1])["correct"] is True

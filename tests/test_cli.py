@@ -317,6 +317,21 @@ def test_rewrite_reports_and_emits(teleport, tmp_path, capsys):
     assert float(kv(capsys)["probability"]) == 0.25
 
 
+def test_rewrite_emit_output_runs(tmp_path, capsys):
+    # short-xor could merge m into q, leaving q two producers: the emitted
+    # file then failed validate, and every command on it exited 2
+    src = tmp_path / "merge.circuit"
+    src.write_text("version 1\nmode net\nwire a in=1 out=1\nwire q in\nwire m\n"
+                   "gate X q m\ngate XOR3 a q m\n")
+    target = tmp_path / "out.circuit"
+    assert cli.main(["rewrite", str(src), "--emit", str(target)]) == 0
+    capsys.readouterr()
+    assert cli.main(["count", str(target)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(target), "--in", "-1"]) == 0
+    assert float(kv(capsys)["probability"]) == 1.0
+
+
 def test_rewrite_emit_stdout_splits_streams(teleport, capsys):
     rc = cli.main(["rewrite", teleport, "--emit", "--passes", "canonicalize"])
     assert rc == 0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from histq import (Circuit, CircuitError, GateDef, GateInstance, ParseError, Role, Wire,
-                   canonicalize, emit_circuit, equivalent, parse_circuit, phase_gate, validate)
+                   canonicalize, emit_circuit, equivalent, matrix_gate, parse_circuit,
+                   phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
@@ -229,6 +231,15 @@ def test_emit_refuses_a_gate_it_cannot_write_exactly():
     wires = (Wire("a", in_bound=True), Wire("b", out_bound=True))
     with pytest.raises(ValueError, match="no file representation"):
         emit_circuit(Circuit(wires, (GateInstance(fake, ("a", "b")),)))
+    # lines the parser would refuse: a reserved matrix name, a 0-qubit
+    # matrix, a phase line past MAX_PHASE_LEGS, a matrix that is not unitary
+    x = [[0, 1], [1, 0]]
+    for d, legs in [(matrix_gate("H", x, custom_leg_order=True), ("a", "b")),
+                    (GateDef("Z0", (), 1), ()),
+                    (phase_gate(0.5, 5), ("a", "a", "b", "b", "b")),
+                    (matrix_gate("B", [[1, 1], [0, 1]], custom_leg_order=True), ("b", "a"))]:
+        with pytest.raises(ValueError, match="no file representation"):
+            emit_circuit(Circuit(wires, (GateInstance(d, legs),)))
     # what phase_gate builds is written exactly, canonical H's exponent on the norm line
     for d in (phase_gate(0.5, 2), phase_gate(math.pi, 2, norm_exponent=1)):
         c = Circuit(wires, (GateInstance(d, ("a", "b")),))
@@ -283,3 +294,58 @@ def test_bad_text_raises_only_circuit_errors(text):
         validate(parse_circuit(text))
     except CircuitError:
         pass
+
+
+_SEQ_LINES = ["q", "q1", "q11", "a", "a1", "b"]
+_SEQ_GATES = ["H", "X", "Z", "T", "CNOT", "CZ", "SWAP", "TOFFOLI", "R", "V"]
+
+
+def seq_text(rng):
+    """A ``mode seq`` file: lines whose segment names can clash (``q`` cut ten
+    times and ``q1``), pinned and free ends, phase taps that may name a line
+    twice, two custom matrix gates and sometimes a norm line."""
+    names = rng.sample(_SEQ_LINES, rng.randint(2, 5))
+    body = ["version 1", "mode seq",
+            "matrix R 1", "0:0 1:0", "1:0 0:0",
+            "matrix V 2", "1:0 0:0 0:0 0:0", "0:0 0:0 0:1 0:0",
+            "0:0 1:0 0:0 0:0", "0:0 0:0 0:0 -1:0"]
+    for nm in names:
+        flags = [f"{end}={v}" for end in ("in", "out")
+                 if (v := rng.choice([None, None, 0, 1])) is not None]
+        body.append(" ".join(["qubit", nm, *flags]))
+    if rng.random() < 0.3:
+        body.append(f"norm {rng.randint(0, 3)}")
+    hot = names[0]
+    for _ in range(rng.randint(1, 30)):
+        r = rng.random()
+        if r < 0.25:
+            body.append(f"apply {rng.choice(['H', 'X', 'R'])} {hot}")
+        elif r < 0.4:
+            k = rng.randint(0, min(4, len(names)))
+            taps = [rng.choice(names) for _ in range(k)]
+            body.append(" ".join(["phase", rng.choice(["pi", "pi/2", "-pi/4", "0.7"]), *taps]))
+        else:
+            name = rng.choice(_SEQ_GATES)
+            n = 3 if name == "TOFFOLI" else 2 if name in ("CNOT", "CZ", "SWAP", "V") else 1
+            if n > len(names):
+                continue
+            body.append(" ".join(["apply", name, *rng.sample(names, n)]))
+    return "\n".join(body) + "\n"
+
+
+# sha256 over the structural keys below, recorded from the implementation
+# whose parse every later one must reproduce exactly
+PINNED_SEQ_PARSE_DIGEST = "0b30e2dabcd568e69f67bc500a50c53dc69aaff20b1d5df6cfe543b97f6c581f"
+
+
+def test_seq_parse_output_is_pinned():
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    clashes = 0
+    for _ in range(50):
+        c = parse_circuit(seq_text(rng))
+        assert validate(c) == []
+        clashes += any("_" in w.name for w in c.wires)
+        digest.update(repr(c.structural_key()).encode() + b"\0")
+    assert clashes
+    assert digest.hexdigest() == PINNED_SEQ_PARSE_DIGEST
