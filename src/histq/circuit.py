@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import UnboundWire, ValidationError
-from .gates import GateDef, Role
+from .gates import GateDef
 
 
 _set = object.__setattr__   # what a frozen dataclass's own __init__ calls
@@ -161,22 +161,22 @@ def attachments(c: Circuit) -> dict[str, tuple[Leg | None, Leg | None, tuple[Leg
     """Each wire's (producer, consumer, taps) as (gate, leg)s: the first output
     leg fills the begin end, the first input leg the end end, symmetric legs
     fill undeclared open ends begin side first, and every other leg taps."""
-    legs = {w.name: {r: [] for r in Role} for w in c.wires}
+    # per wire, its legs by role: IN, OUT, CTRL, SYM (GateDef.role_index)
+    legs = {w.name: ([], [], [], []) for w in c.wires}
     for gi, g in enumerate(c.gates):
-        for li, (wname, role) in enumerate(zip(g.wires, g.gate.legs)):
+        for li, (wname, role) in enumerate(zip(g.wires, g.gate.role_index)):
             legs[wname][role].append((gi, li))
     out = {}
     for w in c.wires:
-        by_role = legs[w.name]
-        producers, consumers, syms = by_role[Role.OUT], by_role[Role.IN], by_role[Role.SYM]
+        consumers, producers, ctrls, syms = legs[w.name]
         producer = producers[0] if producers else None
         consumer = consumers[0] if consumers else None
         if producer is None and not w.in_bound and syms:
             producer = syms.pop(0)
         if consumer is None and not w.out_bound and syms:
             consumer = syms.pop(0)
-        taps = by_role[Role.CTRL] + producers[1:] + consumers[1:] + syms
-        out[w.name] = (producer, consumer, tuple(taps))
+        out[w.name] = (producer, consumer,
+                       tuple(ctrls + producers[1:] + consumers[1:] + syms))
     return out
 
 
@@ -316,32 +316,41 @@ class SeqDescription:
     norm_shift: int = 0
 
 
-def _rename_clashes(desc: SeqDescription, segs: Mapping[str, list[str]],
+def _rename_clashes(desc: SeqDescription, segs: dict[str, list[str]],
+                    made: Mapping[str, int],
                     gates: list[GateInstance]) -> list[GateInstance]:
-    """Rename the segments whose plain name ``q<k>`` another segment shares
-    (line ``q1`` cut ten times and line ``q11`` both give ``q110``): each
-    takes ``q_<k>`` instead, with as many underscores as it takes to be
-    unique, so every segment name is distinct.
+    """Rename the segment names ``q<k>`` that two lines share (line ``q1``
+    cut ten times and line ``q11`` both give ``q110``): each takes ``q_<k>``
+    instead, with as many underscores as it takes to be unique, so every
+    segment name is distinct.  Line q has used the names ``q0`` up to
+    ``q<made[q] - 1>``; a name that a tap skipped counts as used, so the
+    segments it left keep the names a cut there would have given them.
 
     Renames in ``segs`` in place and returns ``gates`` reading the new names.
-    A leg's line is the qubit its slot binds, and its plain name gives k.
+    A leg's line is the qubit its slot of the lowered gate binds (a tap's
+    phase gate has one slot per qubit), and that line's renames map it.
     """
-    plain = Counter(s for line in segs.values() for s in line)
+    plain = Counter(f"{q}{k}" for q, n in made.items() for k in range(n))
+    if len(plain) == sum(made.values()):
+        return gates
     taken = set(plain)
-    for q, line in segs.items():
-        for k, name in enumerate(line):
-            if plain[name] > 1:
+    renames: dict[str, dict[str, str]] = {}
+    for q, n in made.items():
+        new = renames[q] = {}
+        for k in range(n):
+            if plain[name := f"{q}{k}"] > 1:
                 sep = "_"
-                while (name := f"{q}{sep}{k}") in taken:
+                while (alt := f"{q}{sep}{k}") in taken:
                     sep += "_"
-                taken.add(name)
-                line[k] = name
+                taken.add(alt)
+                new[name] = alt
+        segs[q] = [new.get(s, s) for s in segs[q]]
     renamed = []
     for op, g in zip(desc.ops, gates):
         wires = list(g.wires)
-        for slot, q in zip(op.gate.qubit_slots(), op.qubits):
+        for slot, q in zip(g.gate.qubit_slots(), op.qubits):
             for leg in slot[1:]:
-                wires[leg] = segs[q][int(wires[leg][len(q):])]
+                wires[leg] = renames[q].get(wires[leg], wires[leg])
         renamed.append(GateInstance(g.gate, tuple(wires)))
     return renamed
 
@@ -351,14 +360,22 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
 
     Segment k of line q is named ``q<k>`` (see ``_rename_clashes`` for the
     rare clash); control and symmetric legs attach to the current segment
-    without cutting it.  A gate that cuts a line names no line twice (its
-    second read would see its own output); symmetric taps may repeat one.
+    without cutting it.  A diagonal built-in changes no bit, so it does not
+    cut its target either: it lowers to ``GateDef.tap``, one phase gate on
+    the current segment of each line it names, exactly as a ``phase`` line
+    would.  It still uses up its target's next segment number, so every
+    segment keeps the name it had when such gates cut the line and
+    ``canonicalize`` fused the two pieces.  A gate that cuts a line names no
+    line twice (its second read would see its own output); symmetric taps
+    may repeat one.
     """
     segs: dict[str, list[str]] = {}     # line -> its segment names so far
+    made: dict[str, int] = {}           # line -> segment numbers used, taps included
     for ln in desc.lines:
         if ln.name in segs:
             raise ValidationError("duplicate qubit line")
         segs[ln.name] = [ln.name + "0"]
+        made[ln.name] = 1
     gates: list[GateInstance] = []
     for op in desc.ops:
         g, qs = op.gate, op.qubits
@@ -370,17 +387,24 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             raise ValidationError(f"gate {g.name} takes {len(slots)} qubits, got {len(qs)}")
         if g.cuts_line and len(qs) > 1 and len(set(qs)) < len(qs):
             raise ValidationError(f"gate {g.name} names one line twice")
+        if g.tap is not None:
+            made[qs[-1]] += 1               # a diagonal built-in's target is its last qubit
+            gates.append(GateInstance(g.tap, tuple(segs[q][-1] for q in qs)))
+            continue
         wires: list = [None] * len(g.legs)
         for slot, q in zip(slots, qs):
             line = segs[q]
             wires[slot[1]] = line[-1]
             if slot[0] == "pair":
-                line.append(f"{q}{len(line)}")
+                k = made[q]
+                made[q] = k + 1
+                line.append(f"{q}{k}")
                 wires[slot[2]] = line[-1]
         gates.append(GateInstance(g, tuple(wires)))
-    names = [name for line in segs.values() for name in line]
-    if len(set(names)) < len(names):
-        gates = _rename_clashes(desc, segs, gates)
+    # two lines can share a segment name only when one line's name is the
+    # other's plus digits (q1 and q11)
+    if any(q[:i] in segs for q in segs for i in range(len(q.rstrip("0123456789")), len(q))):
+        gates = _rename_clashes(desc, segs, made, gates)
 
     out: list[Wire] = []
     # a line both starts and ends at the boundary even if gates cut it in

@@ -22,11 +22,14 @@ A ``GateDef`` is immutable, so what the hot paths read of it is derived once
 per definition and cached: the flat entry ``table`` and ``nonzero_mask`` for
 pruning, ``support`` for constant propagation, and for the passes,
 ``validate`` and the emitter what the gate is (``builtin_name``,
-``is_phase``) and what is wrong with it (``fault``).  Loading a file reads
-the leg facts: ``in_legs`` and ``out_legs`` (the input and output leg
-indices, which ``validate`` counts as consumers and producers),
-``qubit_slots`` and ``cuts_line`` for lowering, and ``is_sequential`` for
-the parser's ``apply``.
+``is_phase``, and ``tap``: the phase gate a diagonal built-in equals once
+its target's two legs are one, which lowering and ``canonicalize`` both
+write) and what is wrong with it (``fault``).  Loading a file reads the leg
+facts: ``in_legs`` and ``out_legs`` (the input and output leg indices, which
+``validate`` counts as consumers and producers), ``qubit_slots`` and
+``cuts_line`` for lowering, and ``is_sequential`` for the parser's
+``apply``; ``role_index`` gives each leg's role as a position, so
+``circuit.attachments`` files legs without hashing a ``Role``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ class Role(Enum):
     OUT = "out"
     CTRL = "ctrl"
     SYM = "sym"
+
+
+_ROLE_INDEX = {r: i for i, r in enumerate(Role)}   # IN 0, OUT 1, CTRL 2, SYM 3
+
+# The diagonal built-ins: each multiplies by e^{i*theta} when every qubit it
+# names reads 1, and never changes a bit.
+_DIAGONAL_THETA = {"Z": math.pi, "S": math.pi / 2, "T": math.pi / 4,
+                   "CZ": math.pi, "CCZ": math.pi}
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +111,15 @@ class GateDef:
                 == self.structural_key())
 
     @cached_property
+    def tap(self) -> GateDef | None:
+        """For a diagonal built-in (Z, S, T, CZ, CCZ), the ``phase_gate`` it
+        equals when its target's input and output read one wire: one
+        symmetric leg per qubit, in argument order.  None for any other gate.
+        Caching it on the built-in keeps that phase definition alive."""
+        theta = _DIAGONAL_THETA.get(self.builtin_name)
+        return None if theta is None else phase_gate(theta, len(self._qubit_slots))
+
+    @cached_property
     def fault(self) -> str | None:
         """Unbalanced input and output legs, or not unitary; None if neither."""
         ins, outs = len(self.in_legs), len(self.out_legs)
@@ -124,6 +144,11 @@ class GateDef:
     @cached_property
     def out_legs(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.legs) if r is Role.OUT)
+
+    @cached_property
+    def role_index(self) -> tuple[int, ...]:
+        """Each leg's role as its position in ``Role``: IN 0, OUT 1, CTRL 2, SYM 3."""
+        return tuple(_ROLE_INDEX[r] for r in self.legs)
 
     def qubit_slots(self) -> tuple[tuple, ...]:
         """How ``apply`` binds qubit lines to legs, one slot per qubit argument.

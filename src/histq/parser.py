@@ -18,6 +18,9 @@ Seq mode declares qubit lines and applies gates in file order::
     apply <NAME> <qubitname>...     # one name per control plus one per target
     phase <theta> <qubitname>...    # taps the lines without cutting them
 
+``apply`` of a diagonal built-in (Z, S, T, CZ, CCZ) taps its lines like a
+``phase`` line (see ``circuit.lower_sequential``).
+
 Both modes may define custom gates; entries are RE:IM, rows are output bits::
 
     matrix <NAME> <k>
@@ -282,7 +285,7 @@ def _is_file_matrix(d: GateDef) -> bool:
     custom gate, and a unitary matrix."""
     k = d.n_legs // 2
     return (1 <= k <= 4 and d.legs == (Role.OUT,) * k + (Role.IN,) * k
-            and bool(_NAME.match(d.name)) and d.name not in BUILTIN and d.name != "PHASE"
+            and bool(_NAME.fullmatch(d.name)) and d.name not in BUILTIN and d.name != "PHASE"
             and d.fault is None)
 
 
@@ -292,8 +295,9 @@ def emit_circuit(c: Circuit) -> str:
     Gate-level normalization exponents that the directives cannot carry (a
     rewritten Hadamard keeps its 1/sqrt(2) as ``norm_exponent=1`` on a phase
     gate) are folded into one ``norm`` line; the total exponent, and with it
-    every report, is unchanged.  A gate that no line writes so that
-    ``parse_circuit`` reads it back exactly raises ``ValueError``.
+    every report, is unchanged.  A wire name the parser would refuse, or a
+    gate that no line writes so that ``parse_circuit`` reads it back
+    exactly, raises ``ValueError``.
     """
     out = ["version 1", "mode net"]
     norm = c.norm_shift
@@ -301,6 +305,8 @@ def emit_circuit(c: Circuit) -> str:
     emitted_custom: dict[str, GateDef] = {}
 
     for w in c.wires:
+        if not _NAME.fullmatch(w.name):
+            raise ValueError(f"wire name {w.name!r} has no file representation")
         e = c.ends[w.name]
         parts = [f"wire {w.name}"]
         if e.in_boundary:

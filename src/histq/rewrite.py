@@ -47,8 +47,6 @@ from .gates import BUILTIN, phase_gate
 
 _XOR = BUILTIN["XOR3"]
 _CANON_H = phase_gate(math.pi, 2, norm_exponent=1)
-_DIAG_THETA = {"Z": math.pi, "S": math.pi / 2, "T": math.pi / 4,
-               "CZ": math.pi, "CCZ": math.pi}
 
 
 @dataclass(slots=True)
@@ -73,8 +71,10 @@ def canonicalize(c: Circuit) -> Circuit:
     CNOT becomes the symmetric parity gate over the same three wires (the
     tensors are identical entry for entry).  H becomes a two-leg PHASE(pi)
     carrying its normalization exponent.  The diagonal family (Z, S, T, CZ,
-    CCZ) becomes PHASE(theta) with the target's in and out wires fused, the
-    input-side name surviving.  Anything else is left alone.
+    CCZ) becomes its ``GateDef.tap``, PHASE(theta) with the target's in and
+    out wires fused, the input-side name surviving.  Seq-mode lowering
+    already writes those taps, so only net-mode files and circuits built in
+    code still have such gates to fuse.  Anything else is left alone.
 
     Identical entries need not mean identical wire ends: a symmetric leg
     fills an open end that a control or input leg left open, and a fusion
@@ -99,11 +99,10 @@ def canonicalize(c: Circuit) -> Circuit:
         elif d.builtin_name == "H":
             out_gates.append(GateInstance(_CANON_H, g.wires, g.negs))
             changed = True
-        elif d.builtin_name in _DIAG_THETA:
+        elif d.tap is not None:
             nc = d.n_legs - 2
             ti, to = find(g.wires[nc]), find(g.wires[nc + 1])
             ni, no = g.negs[nc], g.negs[nc + 1]
-            ph = phase_gate(_DIAG_THETA[d.name], nc + 1)
             if ni != no:
                 out_gates.append(g)          # complemented pair: no plain fusion
                 continue
@@ -116,7 +115,7 @@ def canonicalize(c: Circuit) -> Circuit:
                 if (wb.out_bound, wb.out_value) != (wa.out_bound, wa.out_value):
                     state[ti] = Wire(ti, wa.in_bound, wa.in_value, wb.out_bound, wb.out_value)
                 del state[to]
-            out_gates.append(GateInstance(ph, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
+            out_gates.append(GateInstance(d.tap, g.wires[:nc] + (ti,), g.negs[:nc] + (ni,)))
             changed = True
         else:
             out_gates.append(g)

@@ -4,8 +4,9 @@
 callers look them up by, and the workloads, the self-test and the trace
 probe call the library directly; a refactor that renames, moves or drops one
 of those names makes the benchmark fail.  This catches that here instead of
-at benchmark time, and so does one short untraced rewrite run for a parser
-or pass change that breaks the rewrite workload's inputs or checks.
+at benchmark time, and so do one short untraced rewrite run and one
+many-queries round, for a parser, lowering or pass change that breaks a
+workload's inputs or checks.
 """
 
 import importlib.util
@@ -65,3 +66,14 @@ def test_bench_selftest_and_a_traced_run_pass():
                   "--seconds", "0.01", "--trace", "0")
     assert rewrite.returncode == 0, rewrite.stdout + rewrite.stderr
     assert json.loads(rewrite.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_one_round_of_many_queries_passes():
+    # every many-queries circuit queried by run, compare, dist and the command
+    # line, each answer checked against the dense engine, and the bundled
+    # teleport and superdense queries against their exact probabilities
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "many-queries",
+                           "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -1,11 +1,15 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from histq import (BUILTIN, Amplitude, BoundaryAssignment, Circuit,
                    GateInstance, SeqDescription, SeqLine, SeqOp,
-                   UnboundWire, ValidationError, Wire, classify_wires,
-                   gate_factor, lower_sequential, resolve_boundary, validate)
+                   UnboundWire, ValidationError, Wire, amplitude_canonical,
+                   classify_wires, equivalent, evaluate, gate_factor, interface,
+                   lower_sequential, parse_circuit, phase_gate, resolve_boundary,
+                   validate)
 from histq.circuit import attachments
 
 
@@ -194,6 +198,112 @@ def test_lower_sequential_segment_name_clash():
     names = [x.name for x in c.wires]
     assert len(set(names)) == len(names) == 23
     assert "q1__10" in names and "q1_10" in names
+
+
+def test_lower_sequential_taps_diagonal_gates():
+    # Z and CZ change no bit: each becomes one phase gate on the current
+    # segments, and its target's segment number is used up all the same
+    desc = SeqDescription(
+        (SeqLine("a"), SeqLine("b", out_value=1)),
+        (SeqOp(BUILTIN["H"], ("a",)), SeqOp(BUILTIN["Z"], ("a",)),
+         SeqOp(BUILTIN["H"], ("a",)), SeqOp(BUILTIN["CZ"], ("a", "b")),
+         SeqOp(BUILTIN["S"], ("b",))))
+    c = lower_sequential(desc)
+    assert [(x.name, x.in_bound, x.out_bound, x.out_value) for x in c.wires] == [
+        ("a0", True, False, None), ("a1", False, False, None), ("a3", False, True, None),
+        ("b0", True, True, 1)]
+    assert [(g.gate, g.wires) for g in c.gates] == [
+        (BUILTIN["H"], ("a0", "a1")), (phase_gate(math.pi, 1), ("a1",)),
+        (BUILTIN["H"], ("a1", "a3")), (phase_gate(math.pi, 2), ("a3", "b0")),
+        (phase_gate(math.pi / 2, 1), ("b0",))]
+    assert validate(c) == []
+    # the built-ins hold their taps, so every lowering shares one definition
+    assert BUILTIN["CCZ"].tap is phase_gate(math.pi, 3)
+    assert BUILTIN["T"].tap is phase_gate(math.pi / 4, 1)
+    assert BUILTIN["CNOT"].tap is None and BUILTIN["H"].tap is None
+    with pytest.raises(ValidationError, match="names one line twice"):
+        lower_sequential(SeqDescription((SeqLine("a"),), (SeqOp(BUILTIN["CZ"], ("a", "a")),)))
+
+
+def test_lower_sequential_clash_counts_the_names_taps_skip():
+    # q1's tenth gate is a tap, so no segment is named q110, but q11's first
+    # segment is renamed as it was when that gate cut q1; q111 clashes with
+    # nothing and keeps its plain name
+    ops = tuple(SeqOp(BUILTIN["X"], ("q1",)) for _ in range(9)) + (SeqOp(BUILTIN["Z"], ("q1",)),
+                                                                  SeqOp(BUILTIN["X"], ("q1",)))
+    c = lower_sequential(SeqDescription((SeqLine("q1"), SeqLine("q11")), ops))
+    names = [x.name for x in c.wires]
+    assert names == [f"q1{k}" for k in range(10)] + ["q111", "q11_0"]
+    assert c.gates[9].wires == ("q19",) and c.gates[10].wires == ("q19", "q111")
+
+
+_DIAGONAL = {"Z", "S", "T", "CZ", "CCZ"}
+
+
+def cut_netlist(lines, ops, angle):
+    """The net-mode file that cuts every line at every gate, diagonal ones
+    included (``gate Z a b``), with segment k of line q named ``q_s<k>``:
+    the lowering before diagonal gates tapped, written out by hand."""
+    segs = {q: 0 for q, _, _ in lines}
+    body = []
+    for name, qs in ops:
+        if name == "phase":
+            body.append(" ".join(["phase", angle, *(f"{q}_s{segs[q]}" for q in qs)]))
+            continue
+        *ctrls, t = qs
+        segs[t] += 1
+        body.append(" ".join(["gate", name, *(f"{q}_s{segs[q]}" for q in ctrls),
+                              f"{t}_s{segs[t] - 1}", f"{t}_s{segs[t]}"]))
+    wires = []
+    for q, pin_in, pin_out in lines:
+        for k in range(segs[q] + 1):
+            flags = [f for f, on in ((f"in{pin_in}", k == 0), (f"out{pin_out}", k == segs[q])) if on]
+            wires.append(" ".join([f"wire {q}_s{k}", *flags]))
+    return "version 1\nmode net\n" + "\n".join(wires + body) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_taps_and_cuts_give_the_same_amplitudes(seed, eighth_turns):
+    # without T and pi/4 every listed entry is a Gaussian integer, so both
+    # sums are exact whatever order they run in; with them, only rounding
+    # may differ
+    rng = random.Random(seed)
+    one_line, angle = (["H", "X", "Z", "S", "T"], "pi/4") if eighth_turns else \
+        (["H", "X", "Z", "S"], "pi/2")
+    lines = [(q, rng.choice(["", "", "=0", "=1"]), rng.choice(["", "", "", "=1"]))
+             for q in ["q1", "q11", "a"]]
+    names = [q for q, _, _ in lines]
+    # every line gets an H, so each diagonal gate cut a line that has an
+    # internal wire to lose; q1 gets ten or more one-line gates
+    ops = [("H", (q,)) for q in names]
+    ops += [(rng.choice(one_line), ("q1",)) for _ in range(rng.randint(10, 14))]
+    for _ in range(rng.randint(0, 8)):
+        name = rng.choice(["CZ", "CCZ", "CNOT", "TOFFOLI", "phase", *one_line[2:]])
+        n = {"CZ": 2, "CNOT": 2, "CCZ": 3, "TOFFOLI": 3}.get(name, 1)
+        ops.append((name, tuple(rng.sample(names, n))))
+    rng.shuffle(ops)
+    seq_lines = [f"qubit {q}" + (f" in{i}" if i else "") + (f" out{o}" if o else "")
+                 for q, i, o in lines]
+    seq_ops = [" ".join([f"phase {angle}" if name == "phase" else f"apply {name}", *qs])
+               for name, qs in ops]
+    tapped = parse_circuit("version 1\nmode seq\n" + "\n".join(seq_lines + seq_ops) + "\n")
+    cut = parse_circuit(cut_netlist(lines, ops, angle))
+    assert validate(tapped) == [] and validate(cut) == []
+    ok, dev = equivalent(tapped, cut)
+    assert ok and dev <= (1e-15 if eighth_turns else 0.0)
+
+    k = sum(name in _DIAGONAL for name, _ in ops)
+    (ins_t, outs_t), (ins_c, outs_c) = interface(tapped), interface(cut)
+    bits = [rng.getrandbits(1) for _ in ins_t + outs_t]
+    q_t = BoundaryAssignment(dict(zip(ins_t, bits)), dict(zip(outs_t, bits[len(ins_t):])))
+    q_c = BoundaryAssignment(dict(zip(ins_c, bits)), dict(zip(outs_c, bits[len(ins_c):])))
+    rt, rc = evaluate(tapped, q_t), evaluate(cut, q_c)
+    assert abs(rt.value - rc.value) <= dev and rt.accepted == rc.accepted
+    assert rc.histories == rt.histories * 2 ** k
+    dense = amplitude_canonical(tapped, q_t)
+    assert abs(dense - rt.value) <= 1e-12
+    assert abs(amplitude_canonical(cut, q_c) - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("gate, qubits", [("CNOT", ("a", "a")), ("SWAP", ("a", "a")),

@@ -36,7 +36,8 @@ def test_run_soh(teleport, capsys):
     assert got["engine"] == "soh"
     assert abs(float(got["amplitude_re"])) == 0.5
     assert float(got["probability"]) == 0.25
-    assert got["internal_wires"] == "3" and got["histories"] == "8"
+    # the CZ taps b2 and c1 without cutting line c: internal wires b1, c1
+    assert got["internal_wires"] == "2" and got["histories"] == "4"
 
 
 def test_run_canonical_json(teleport, capsys):
@@ -105,10 +106,10 @@ def test_dist_json(teleport, capsys):
 
 
 def test_dist_guard_exit_code(teleport, capsys):
-    # 3 internal wires and 3 free ends: 2^6 histories in all
-    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "5"]) == 4
-    assert "3 free output ends and 3 internal wires" in capsys.readouterr().err
-    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "6"]) == 0
+    # 2 internal wires and 3 free ends: 2^5 histories in all
+    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "4"]) == 4
+    assert "3 free output ends and 2 internal wires" in capsys.readouterr().err
+    assert cli.main(["dist", teleport, "--in", "0--", "--max-wires", "5"]) == 0
     # the dense engine pays for the 2^3 patterns only
     assert cli.main(["dist", teleport, "--in", "0--", "--engine", "canonical",
                      "--max-wires", "2"]) == 4
@@ -194,10 +195,11 @@ def test_bent_wire_runs_only_by_histories(tmp_path, capsys):
 
 
 def test_guard_exit_code(teleport, capsys, monkeypatch):
+    # 2 internal wires: a limit of 1 trips the guard
     rc = cli.main(["run", teleport, "--in", "0--", "--out", "000",
-                   "--max-wires", "2"])
+                   "--max-wires", "1"])
     assert rc == 4
-    monkeypatch.setenv("HISTQ_MAX_WIRES", "2")
+    monkeypatch.setenv("HISTQ_MAX_WIRES", "1")
     assert cli.main(["run", teleport, "--in", "0--", "--out", "000"]) == 4
     assert cli.main(["run", teleport, "--in", "0--", "--out", "000",
                      "--max-wires", "10"]) == 0

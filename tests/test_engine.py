@@ -71,9 +71,10 @@ def test_identity_from_two_hadamards():
 def test_eval_result_counts():
     c = parse_circuit(TELEPORTATION_TEXT)
     r = evaluate(c, BoundaryAssignment({"x0": 0}, {"x1": 0, "b2": 0, "c3": 0}))
-    # pinned line ends stay external; only the middle segments are summed over
-    assert r.internal_wires == ("b1", "c1", "c2")
-    assert r.histories == 8
+    # pinned line ends stay external; only the middle segments are summed
+    # over, and the CZ taps c1 instead of cutting it
+    assert r.internal_wires == ("b1", "c1")
+    assert r.histories == 4
     assert 0 < r.accepted <= r.histories
 
 
@@ -234,12 +235,13 @@ def test_default_split_folds_boundary_only_gates(case):
 
 
 def test_default_split_below_w_matches_fixed_split():
-    # 28 gates on 6 lines give w = 13, where the cost model splits below w
+    # 40 gates on 6 lines give w = 13 (T and CZ tap their lines without
+    # cutting them), where the cost model splits below w
     # (a split at 16, capped at w, holds every history in one block)
     rng = random.Random(3)
     names = [f"q{i}" for i in range(6)]
     ops = []
-    for _ in range(28):
+    for _ in range(40):
         r = rng.random()
         if r < 0.5:
             ops.append(SeqOp(BUILTIN[rng.choice(["H", "H", "X", "T"])], (rng.choice(names),)))
@@ -437,13 +439,13 @@ def test_dist_wire_guard(monkeypatch):
     c = parse_circuit(TELEPORTATION_TEXT)
     q = BoundaryAssignment({"x0": 0}, {})
     w, f = len(classify_wires(c)[0]), len(free_output_ends(c, q))
-    assert (w, f) == (3, 3)
+    assert (w, f) == (2, 3)
     # one query fits the guard, but all 2^f of them together do not
     assert evaluate(c, BoundaryAssignment({"x0": 0}, {"x1": 0, "b2": 0, "c3": 0}),
                     max_wires=w).histories == 2 ** w
     with pytest.raises(MaxWiresExceeded) as ei:
         output_distribution(c, q, max_wires=w + f - 1)
-    assert "3 free output ends and 3 internal wires" in str(ei.value)
+    assert "3 free output ends and 2 internal wires" in str(ei.value)
     assert len(output_distribution(c, q, max_wires=w + f).probs) == 2 ** f
     # another amplitude callable pays only for the patterns
     monkeypatch.setenv("HISTQ_MAX_WIRES", str(f))

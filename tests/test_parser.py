@@ -25,9 +25,13 @@ def perr(text):
 
 def test_teleportation_structure():
     c = parse_circuit(TELEPORTATION_TEXT)
-    assert [g.gate.name for g in c.gates] == ["H", "CNOT", "CNOT", "H", "CZ", "CNOT"]
+    assert [g.gate.name for g in c.gates] == ["H", "CNOT", "CNOT", "H", "PHASE", "CNOT"]
+    # CZ taps b2 and c1 as PHASE(pi) and cuts nothing; line c skips c2
+    cz = c.gates[4]
+    assert cz.gate is phase_gate(math.pi, 2) and cz.wires == ("b2", "c1")
+    assert c.gates[5].wires == ("x1", "c1", "c3")
     names = [w.name for w in c.wires]
-    assert names == ["x0", "x1", "b0", "b1", "b2", "c0", "c1", "c2", "c3"]
+    assert names == ["x0", "x1", "b0", "b1", "b2", "c0", "c1", "c3"]
     pins = {w.name: w.in_value for w in c.wires}
     assert pins["b0"] == 0 and pins["c0"] == 0 and pins["x0"] is None
     assert validate(c) == []
@@ -240,6 +244,10 @@ def test_emit_refuses_a_gate_it_cannot_write_exactly():
                     (matrix_gate("B", [[1, 1], [0, 1]], custom_leg_order=True), ("b", "a"))]:
         with pytest.raises(ValueError, match="no file representation"):
             emit_circuit(Circuit(wires, (GateInstance(d, legs),)))
+    # wire names the parser would refuse
+    for name in ("1a", "a-b"):
+        with pytest.raises(ValueError, match="no file representation"):
+            emit_circuit(Circuit((Wire(name, in_bound=True, out_bound=True),), ()))
     # what phase_gate builds is written exactly, canonical H's exponent on the norm line
     for d in (phase_gate(0.5, 2), phase_gate(math.pi, 2, norm_exponent=1)):
         c = Circuit(wires, (GateInstance(d, ("a", "b")),))
@@ -334,8 +342,9 @@ def seq_text(rng):
 
 
 # sha256 over the structural keys below, recorded from the implementation
-# whose parse every later one must reproduce exactly
-PINNED_SEQ_PARSE_DIGEST = "0b30e2dabcd568e69f67bc500a50c53dc69aaff20b1d5df6cfe543b97f6c581f"
+# whose parse every later one must reproduce exactly (re-recorded when the
+# diagonal built-ins began to tap their lines instead of cutting them)
+PINNED_SEQ_PARSE_DIGEST = "c401290b94c2468b490f7120b9bb84a0cb9e9b130626d21e6158851d930e696e"
 
 
 def test_seq_parse_output_is_pinned():

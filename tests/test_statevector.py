@@ -102,8 +102,9 @@ def test_cnot_truth_table():
 
 
 def test_s_gate_phase():
+    # S taps its line: one wire, q00, carries both ends
     c = parse_circuit(seq_text(1, "apply S q0\n"))
-    a = amplitude_canonical(c, BoundaryAssignment({"q00": 1}, {"q01": 1}))
+    a = amplitude_canonical(c, BoundaryAssignment({"q00": 1}, {"q00": 1}))
     assert a == 1j
 
 
