@@ -197,24 +197,31 @@ def interface(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return ins, outs
 
 
-def validate(c: Circuit) -> list[str]:
-    """Structural diagnostics; an empty list means the circuit is well formed."""
-    diags: list[str] = []
-    produced = dict.fromkeys([w.name for w in c.wires], 0)
-    consumed = produced.copy()
+def end_claims(c: Circuit) -> tuple[dict[str, int], dict[str, int]]:
+    """Per wire, its (producers, consumers): its declared begin and end ends
+    plus the gate output and input legs on it.  A gate schedule needs at most
+    one of each; ``validate``, ``statevector.sequential_order`` and short-xor
+    merges read this one count, made on each call and never kept."""
+    produced = {w.name: w.in_bound for w in c.wires}    # a bool counts as 0 or 1
+    consumed = {w.name: w.out_bound for w in c.wires}
     for g in c.gates:
         ws = g.wires
         for li in g.gate.out_legs:
             produced[ws[li]] += 1
         for li in g.gate.in_legs:
             consumed[ws[li]] += 1
+    return produced, consumed
+
+
+def validate(c: Circuit) -> list[str]:
+    """Structural diagnostics; an empty list means the circuit is well formed."""
+    diags: list[str] = []
+    produced, consumed = end_claims(c)
     for w in c.wires:
-        producers = produced[w.name] + w.in_bound
-        consumers = consumed[w.name] + w.out_bound
-        if producers > 1:
+        if produced[w.name] > 1:
             diags.append(f"wire {w.name}: more than one producer"
                          + (" (boundary binding plus gate output)" if w.in_bound else ""))
-        if consumers > 1:
+        if consumed[w.name] > 1:
             diags.append(f"wire {w.name}: more than one consumer"
                          + (" (boundary binding plus gate input)" if w.out_bound else ""))
     for gi, g in enumerate(c.gates):

@@ -39,7 +39,8 @@ What the circuit alone fixes — the sorted internal wires, each gate's entry
 table and leg reads, and the split with the gates grouped by stage — is one
 plan, built on the circuit's first query and shared by every later
 ``evaluate``, so ``output_distribution`` and ``equivalent`` build it once.
-The wire guards run on every query.
+The wire guard runs on every query; ``wire_guard`` is the one home of that
+check, for ``output_distribution`` and the dense engine too.
 """
 
 from __future__ import annotations
@@ -190,21 +191,27 @@ def _build_plan(c: Circuit) -> _Prepared:
 _PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared
 
 
+def wire_guard(n: int, what: str, max_wires: int | None, *,
+               hard: int = HARD_MAX_WIRES, unit: str = "histories") -> None:
+    """Raise MaxWiresExceeded when ``n`` (``what``, spanning 2^n ``unit``)
+    passes ``hard`` or the limit ``max_wires`` sets (else
+    ``HISTQ_MAX_WIRES``, else the default)."""
+    if n > hard:
+        raise MaxWiresExceeded(f"{what} exceed the hard limit of {hard} (2^{n} {unit}); "
+                               "no setting raises it")
+    limit = resolve_max_wires(max_wires)
+    if n > limit:
+        raise MaxWiresExceeded(f"{what} exceed the limit of {limit} (2^{n} {unit}); "
+                               "raise --max-wires/HISTQ_MAX_WIRES to override")
+
+
 def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
-    """The circuit's plan, built on its first call; the wire guards run on every call."""
+    """The circuit's plan, built on its first call; the wire guard runs on every call."""
     prep = _PLANS.get(c)
     if prep is None:
         prep = _PLANS[c] = _build_plan(c)
     w = len(prep.internal)
-    if w > HARD_MAX_WIRES:
-        raise MaxWiresExceeded(
-            f"{w} internal wires exceed the hard limit of {HARD_MAX_WIRES} "
-            f"(2^{w} histories overflow a 64-bit count); no setting raises it")
-    limit = resolve_max_wires(max_wires)
-    if w > limit:
-        raise MaxWiresExceeded(
-            f"{w} internal wires exceed the limit of {limit} "
-            f"(2^{w} histories); raise --max-wires/HISTQ_MAX_WIRES to override")
+    wire_guard(w, f"{w} internal wires", max_wires)
     return prep
 
 
@@ -337,23 +344,15 @@ def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, 
     end leftmost.  ``amplitude`` defaults to the history sum; pass a
     different callable to use another evaluation strategy.
 
-    The wire guard covers the 2^f patterns of the f free ends, and under the
-    history sum the 2^(w+f) histories they take together; the guard trips
-    before any pattern is evaluated.
+    The wire guard, hard limit included, covers the 2^f patterns of the f
+    free ends, and under the history sum the 2^(w+f) histories they take
+    together; the guard trips before any pattern is evaluated.
     """
     free = free_output_ends(c, boundary)
     f = len(free)
-    if f > HARD_MAX_WIRES:
-        raise MaxWiresExceeded(
-            f"{f} free output ends exceed the hard limit of {HARD_MAX_WIRES} "
-            f"(2^{f} output patterns); no setting raises it")
-    limit = resolve_max_wires(max_wires)
     w = len(classify_wires(c)[0]) if amplitude is None else 0
-    if w + f > limit:
-        raise MaxWiresExceeded(
-            f"{f} free output ends" + (f" and {w} internal wires" if w else "")
-            + f" exceed the limit of {limit} (2^{w + f} histories); "
-            "raise --max-wires/HISTQ_MAX_WIRES to override")
+    wire_guard(w + f, f"{f} free output ends" + (f" and {w} internal wires" if w else ""),
+               max_wires)
     base_in = dict(boundary.in_bits) if boundary else {}
     base_out = dict(boundary.out_bits) if boundary else {}
     if amplitude is None:

@@ -295,9 +295,9 @@ def emit_circuit(c: Circuit) -> str:
     Gate-level normalization exponents that the directives cannot carry (a
     rewritten Hadamard keeps its 1/sqrt(2) as ``norm_exponent=1`` on a phase
     gate) are folded into one ``norm`` line; the total exponent, and with it
-    every report, is unchanged.  A wire name the parser would refuse, or a
+    every report, is unchanged.  A wire name the parser would refuse, a
     gate that no line writes so that ``parse_circuit`` reads it back
-    exactly, raises ``ValueError``.
+    exactly, or a negative folded ``norm``, raises ``ValueError``.
     """
     out = ["version 1", "mode net"]
     norm = c.norm_shift
@@ -340,6 +340,8 @@ def emit_circuit(c: Circuit) -> str:
         else:
             raise ValueError(f"gate {d.name} has no file representation")
 
+    if norm < 0:
+        raise ValueError(f"norm {norm} has no file representation")
     if norm:
         body.insert(0, f"norm {norm}")
     return "\n".join(out + body) + "\n"

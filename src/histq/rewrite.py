@@ -27,8 +27,8 @@ changes anything.  ``_rebuild`` refuses a step that would move a free end
 or orphan an internal wire, whose two-bit sum was a factor of 2; a pinned
 external wire that no gate touches any more is deleted.  A merge that would
 leave the surviving wire two producers or two consumers, a declared
-boundary end counting as one, is refused before that, so that every output
-of a circuit ``validate`` accepts passes ``validate`` too.
+boundary end counting as one, is refused before that (``end_claims``), so
+that every output of a circuit ``validate`` accepts passes ``validate`` too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .circuit import (BoundaryAssignment, Circuit, GateInstance, Wire, classify_wires,
-                      interface)
+                      end_claims, interface)
 from . import engine
 from .errors import InterfaceMismatch
 from .gates import BUILTIN, phase_gate
@@ -165,7 +165,7 @@ def compute_constants(c: Circuit, skip: frozenset[int] = frozenset()) -> dict[st
     readers: dict[str, list[int]] = {}
     todo: deque[int] = deque()
     for gi, g in enumerate(gates):
-        if gi in skip or g.gate.n_legs == 0 or g.gate.nonzero_mask is None:
+        if gi in skip or g.gate.nonzero_mask is None:
             continue
         todo.append(gi)
         for wire in g.wires:
@@ -218,7 +218,7 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
     move a free boundary end (the removed gate was holding a wire end closed)
     or orphan an internal wire (see the module docstring).  The third
     refusal, a merge that would give one wire two producers or two
-    consumers, is made by ``_short_xor_step`` before it builds the step.
+    consumers, is made by ``_short_xor_step`` from the pair's ``end_claims``.
 
     ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
     no attachments and nothing the query can bind are dropped.  A wire stays
@@ -281,27 +281,12 @@ def _rename(g: GateInstance, loser: str | None, survivor: str, parity: int) -> G
                               for w, n in zip(g.wires, g.negs)))
 
 
-def _merge_keeps_one_producer_and_consumer(c: Circuit, survivor: Wire, loser: str) -> bool:
-    """Whether the wire that merging ``loser`` into ``survivor`` leaves has at
-    most one producer and one consumer, its declared ends counted: the rule
-    ``validate`` applies, checked for the merged pair alone."""
-    pair = (survivor.name, loser)
-    producers, consumers = survivor.in_bound, survivor.out_bound
-    for g in c.gates:
-        ws = g.wires
-        if pair[0] in ws or loser in ws:
-            for li in g.gate.out_legs:
-                producers += ws[li] in pair
-            for li in g.gate.in_legs:
-                consumers += ws[li] in pair
-    return producers <= 1 and consumers <= 1
-
-
 def _short_xor_step(c: Circuit) -> Step | None:
     """One interface-preserving parity-gate short, or None."""
     _, external = classify_wires(c)
     ext = set(external)
     order = {w.name: i for i, w in enumerate(c.wires)}
+    produced, consumed = end_claims(c)
     for gi, g in enumerate(c.gates):
         if g.gate.builtin_name != "XOR3":
             continue
@@ -323,8 +308,8 @@ def _short_xor_step(c: Circuit) -> Step | None:
                 # the surviving name: an external wire always wins, then declaration order
                 if (t in ext, -order[t]) > (u in ext, -order[u]):
                     u, t = t, u
-                if not _merge_keeps_one_producer_and_consumer(c, c.wires[order[u]], t):
-                    continue
+                if produced[u] + produced[t] > 1 or consumed[u] + consumed[t] > 1:
+                    continue    # validate would refuse the merged wire
                 loser, detail = t, f"{t}->{u}~{parity}"
             gates = tuple(_rename(og, loser, u, parity)
                           for gj, og in enumerate(c.gates) if gj != gi)

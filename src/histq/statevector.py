@@ -1,9 +1,9 @@
 """Dense state-vector evaluation for circuits that admit a gate schedule.
 
-A circuit is *sequential* when every gate either moves qubits forward
-(matrix-style legs: each input leg is the wire's consumer, each output leg its
-producer, controls tap live wires) or is a pure diagonal factor (a symmetric
-gate all of whose legs are taps, with unit-modulus entries), and the
+A circuit is *sequential* when no wire has two producers or two consumers
+(``circuit.end_claims``), every gate either moves qubits forward
+(matrix-style legs; controls tap live wires) or is a pure diagonal factor (a
+symmetric gate all of whose legs are taps, with unit-modulus entries), and the
 producer/consumer graph is acyclic.  Everything else — feedback loops, shared
 reads, symmetric gates that claim wire ends — raises NonSequential.
 
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, attachments,
-                      resolve_boundary)
-from .engine import HARD_MAX_WIRES, resolve_max_wires
-from .errors import MaxWiresExceeded, NonSequential
+                      end_claims, resolve_boundary)
+from .engine import HARD_MAX_WIRES, wire_guard
+from .errors import NonSequential
 from .gates import Role
 
 HARD_MAX_QUBITS = HARD_MAX_WIRES - 4  # 2^n amplitudes of 16 bytes fit a signed 64-bit byte count
@@ -47,6 +47,11 @@ class SeqPlan:
 
 def sequential_order(c: Circuit) -> SeqPlan:
     """Schedule the circuit's gates, or raise NonSequential."""
+    for counts in end_claims(c):
+        for name, n in counts.items():
+            if n > 1:
+                raise NonSequential(f"wire {name} has two producers or two consumers, a "
+                                    "declared end counting as one; no gate schedule exists")
     att = attachments(c)
     n_gates = len(c.gates)
     succ: list[set[int]] = [set() for _ in range(n_gates)]
@@ -70,20 +75,14 @@ def sequential_order(c: Circuit) -> SeqPlan:
 
     for gi, g in enumerate(c.gates):
         d = g.gate
-        if d.is_matrix_style:
-            for li, (w, role) in enumerate(zip(g.wires, d.legs)):
-                if role is Role.IN and att[w][1] != (gi, li):
-                    raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
-                if role is Role.OUT and att[w][0] != (gi, li):
-                    raise NonSequential(f"gate {gi} ({d.name}) does not carry wire {w} forward")
-        elif d.is_symmetric:
+        if d.is_symmetric:
             if not all((gi, li) in att[w][2] for li, w in enumerate(g.wires)):
                 raise NonSequential(
                     f"gate {gi} ({d.name}) binds symmetric legs to wire ends; "
                     "no schedule treats it as an operator")
             if not np.all(np.isclose(np.abs(d.entries), 1.0)):
                 raise NonSequential(f"gate {gi} ({d.name}) taps wires but is not a pure phase")
-        else:
+        elif not d.is_matrix_style:
             raise NonSequential(f"gate {gi} ({d.name}) mixes symmetric and directed legs")
 
     ready = [gi for gi in range(n_gates) if indeg[gi] == 0]
@@ -137,11 +136,7 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
     The state holds 2^n amplitudes, so its n qubits count against the wire
     guard (``max_wires``, else ``HISTQ_MAX_WIRES``, else the default)."""
     n = len(c.input_wires)
-    limit = min(resolve_max_wires(max_wires), HARD_MAX_QUBITS)
-    if n > limit:
-        raise MaxWiresExceeded(
-            f"{n} qubits exceed the limit of {limit} (2^{n} amplitudes); "
-            f"--max-wires/HISTQ_MAX_WIRES set it, up to {HARD_MAX_QUBITS}")
+    wire_guard(n, f"{n} qubits", max_wires, hard=HARD_MAX_QUBITS, unit="amplitudes")
     assignment = resolve_boundary(c, boundary)
     if assignment is None:
         return 0j

@@ -307,12 +307,16 @@ def test_taps_and_cuts_give_the_same_amplitudes(seed, eighth_turns):
 
 
 @pytest.mark.parametrize("gate, qubits", [("CNOT", ("a", "a")), ("SWAP", ("a", "a")),
-                                          ("TOFFOLI", ("a", "b", "a"))])
+                                          ("TOFFOLI", ("a", "b", "a")),
+                                          ("CNOT", ("a", "c")), ("CNOT", ("a",))])
 def test_lower_sequential_rejects_a_line_named_twice(gate, qubits):
-    # SWAP a a would read, as its second input, the segment its first output makes
+    # SWAP a a would read, as its second input, the segment its first output makes.
+    # The parser refuses the last two inputs first; lowering checks them again.
+    msg = {("a", "c"): "CNOT names unknown line c",
+           ("a",): "CNOT takes 2 qubits, got 1"}.get(qubits, "names one line twice")
     desc = SeqDescription((SeqLine("a", in_value=1), SeqLine("b")),
                           (SeqOp(BUILTIN[gate], qubits),))
-    with pytest.raises(ValidationError, match="names one line twice"):
+    with pytest.raises(ValidationError, match=msg):
         lower_sequential(desc)
 
 

@@ -209,7 +209,7 @@ def test_guard_exit_code(teleport, capsys, monkeypatch):
 @pytest.mark.parametrize("n, limit, msg", [
     (9, 8, "9 qubits exceed the limit of 8"),   # the guard trips before any allocation
     (44, 50, "out of memory"),                  # 2^48 bytes exceed the address space
-    (60, 62, "60 qubits exceed the limit of 58"),
+    (60, 62, "60 qubits exceed the hard limit of 58"),
 ])
 def test_dense_engine_wire_guard(tmp_path, capsys, cmd, n, limit, msg):
     p = tmp_path / "lines.circuit"

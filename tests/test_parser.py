@@ -7,9 +7,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (Circuit, CircuitError, GateDef, GateInstance, ParseError, Role, Wire,
-                   canonicalize, emit_circuit, equivalent, matrix_gate, parse_circuit,
-                   phase_gate, validate)
+from histq import (BoundaryAssignment, Circuit, CircuitError, GateDef, GateInstance,
+                   ParseError, Role, Wire, amplitude_canonical, canonicalize, emit_circuit,
+                   equivalent, interface, matrix_gate, parse_circuit, phase_gate, validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
@@ -248,6 +248,9 @@ def test_emit_refuses_a_gate_it_cannot_write_exactly():
     for name in ("1a", "a-b"):
         with pytest.raises(ValueError, match="no file representation"):
             emit_circuit(Circuit((Wire(name, in_bound=True, out_bound=True),), ()))
+    # a negative norm line, which the parser refuses ("usage: norm <k>")
+    with pytest.raises(ValueError, match="no file representation"):
+        emit_circuit(Circuit((Wire("a", True, None, True, None),), (), norm_shift=-1))
     # what phase_gate builds is written exactly, canonical H's exponent on the norm line
     for d in (phase_gate(0.5, 2), phase_gate(math.pi, 2, norm_exponent=1)):
         c = Circuit(wires, (GateInstance(d, ("a", "b")),))
@@ -297,9 +300,13 @@ def mutated_examples(draw):
 @given(mutated_examples() | st.text())
 def test_bad_text_raises_only_circuit_errors(text):
     # warnings are errors under the test settings, so an overflow leaking
-    # out of parse or validate fails here too
+    # out of parse, validate or the dense engine fails here too
     try:
-        validate(parse_circuit(text))
+        c = parse_circuit(text)
+        if not validate(c):
+            ins, outs = interface(c)
+            amplitude_canonical(c, BoundaryAssignment(dict.fromkeys(ins, 0),
+                                                      dict.fromkeys(outs, 0)))
     except CircuitError:
         pass
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateInstance, InterfaceMismatch,
+from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateDef, GateInstance,
+                   InterfaceMismatch,
                    SeqDescription, SeqLine, SeqOp, Wire, apply_passes, canonicalize,
                    classify_wires, compute_constants, drop_dead_controlled_gates,
                    equivalent, interface, lower_sequential, matrix_gate, parse_circuit,
@@ -108,6 +109,9 @@ def test_compute_constants_through_general_gates():
 def test_compute_constants_contradiction_is_none():
     c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\napply X a\n")
     assert compute_constants(c) is None
+    # a 0-leg gate whose one entry is zero: every amplitude is 0
+    z0 = GateInstance(GateDef("Z0", (), 0), ())
+    assert compute_constants(Circuit(c.wires, (z0,))) is None
 
 
 def test_compute_constants_leaves_free_ends_alone():
