@@ -1,7 +1,10 @@
 """Shared generators: random sequential circuits, random netlists and
-boundary queries; and ``evaluate_at``, the history sum at a forced split."""
+boundary queries; ``evaluate_at``, the history sum at a forced split; and
+``seq_oracle``, a seq program's amplitude computed without lowering it."""
 
 import math
+
+import numpy as np
 
 from histq import (BUILTIN, BoundaryAssignment, Circuit, GateInstance,
                    SeqDescription, SeqLine, SeqOp, Wire, evaluate,
@@ -93,3 +96,31 @@ def evaluate_at(low, c, q=None, **opts):
     finally:
         engine._split_cost = cost
         engine._PLANS.pop(c, None)
+
+
+def seq_oracle(desc, in_bits, out_bits):
+    """<out_bits| U |in_bits> of a seq program, one bit per line in line
+    order, from a dense state it applies each op to by its matrix: no
+    netlist, no lowering and no engine is involved.  Controls select the
+    op's block for their setting (``GateDef.blocks``); a ``phase`` op
+    multiplies the states where every line it names reads 1."""
+    axis = {ln.name: i for i, ln in enumerate(desc.lines)}
+    n = len(axis)
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[tuple(in_bits)] = 1
+    k = desc.norm_shift
+    for op in desc.ops:
+        g, axes = op.gate, [axis[q] for q in op.qubits]
+        k += g.norm_exponent
+        if g.is_symmetric:
+            where = [slice(None)] * n
+            for a in axes:
+                where[a] = 1
+            psi[tuple(where)] *= g.entries[(1,) * g.n_legs]
+            continue
+        blocks = g.blocks()          # (controls, targets out, targets in)
+        front = np.moveaxis(psi, axes, range(len(axes)))
+        flat = front.reshape(blocks.shape[0], blocks.shape[2], -1)
+        front = np.einsum("cij,cjr->cir", blocks, flat).reshape(front.shape)
+        psi = np.moveaxis(front, range(len(axes)), axes)
+    return complex(psi[tuple(out_bits)]) * 2.0 ** (-k / 2)
