@@ -323,50 +323,43 @@ class SeqDescription:
     norm_shift: int = 0
 
 
-def _rename_clashes(desc: SeqDescription, segs: dict[str, list[str]],
-                    made: Mapping[str, int],
-                    gates: list[GateInstance]) -> list[GateInstance]:
-    """Rename the segment names ``q<k>`` that two lines share (line ``q1``
-    cut ten times and line ``q11`` both give ``q110``): each takes ``q_<k>``
-    instead, with as many underscores as it takes to be unique, so every
-    segment name is distinct.  Line q has used the names ``q0`` up to
-    ``q<made[q] - 1>``; a name that a tap skipped counts as used, so the
-    segments it left keep the names a cut there would have given them.
+def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
+    """The segment names that are not plain ``q<k>``, by (line, number).
 
-    Renames in ``segs`` in place and returns ``gates`` reading the new names.
-    A leg's line is the qubit its slot of the lowered gate binds (a tap's
-    phase gate has one slot per qubit), and that line's renames map it.
-    """
-    plain = Counter(f"{q}{k}" for q, n in made.items() for k in range(n))
-    if len(plain) == sum(made.values()):
-        return gates
-    taken = set(plain)
-    renames: dict[str, dict[str, str]] = {}
+    Line q uses one number for its input wire and one for each gate that
+    maps it, a tap included, so every segment keeps the name a cut there
+    would have given it.  Two lines share a plain name only when one line's
+    name is the other's plus digits (line ``q1`` cut ten times and line
+    ``q11`` both give ``q110``); each then takes ``q_<k>`` instead, with as
+    many underscores as it takes to be unique.  Empty when no two lines can
+    share a name; otherwise one pass over the ops counts each line's numbers
+    first."""
+    made = {ln.name: 1 for ln in desc.lines}
+    if not any(q[:i] in made for q in made for i in range(len(q.rstrip("0123456789")), len(q))):
+        return {}
+    for op in desc.ops:
+        for slot, q in zip(op.gate.qubit_slots(), op.qubits):
+            if slot[0] == "pair" and q in made:     # lowering refuses an unknown line
+                made[q] += 1
+    counts = Counter(f"{q}{k}" for q, n in made.items() for k in range(n))
+    taken = set(counts)
+    alt: dict[tuple[str, int], str] = {}
     for q, n in made.items():
-        new = renames[q] = {}
         for k in range(n):
-            if plain[name := f"{q}{k}"] > 1:
+            if counts[f"{q}{k}"] > 1:
                 sep = "_"
-                while (alt := f"{q}{sep}{k}") in taken:
+                while (name := f"{q}{sep}{k}") in taken:
                     sep += "_"
-                taken.add(alt)
-                new[name] = alt
-        segs[q] = [new.get(s, s) for s in segs[q]]
-    renamed = []
-    for op, g in zip(desc.ops, gates):
-        wires = list(g.wires)
-        for slot, q in zip(g.gate.qubit_slots(), op.qubits):
-            for leg in slot[1:]:
-                wires[leg] = renames[q].get(wires[leg], wires[leg])
-        renamed.append(GateInstance(g.gate, tuple(wires)))
-    return renamed
+                taken.add(name)
+                alt[q, k] = name
+    return alt
 
 
 def lower_sequential(desc: SeqDescription) -> Circuit:
     """Cut each qubit line into wire segments at the gates that act on it.
 
-    Segment k of line q is named ``q<k>`` (see ``_rename_clashes`` for the
-    rare clash); control and symmetric legs attach to the current segment
+    Segment k of line q is named ``q<k>`` (see ``_clash_names`` for the rare
+    clash); control and symmetric legs attach to the current segment
     without cutting it.  A diagonal built-in changes no bit, so it does not
     cut its target either: it lowers to ``GateDef.tap``, one phase gate on
     the current segment of each line it names, exactly as a ``phase`` line
@@ -376,18 +369,22 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
     line twice (its second read would see its own output); symmetric taps
     may repeat one.
     """
-    segs: dict[str, list[str]] = {}     # line -> its segment names so far
-    made: dict[str, int] = {}           # line -> segment numbers used, taps included
+    made: dict[str, int] = {}           # line -> segment numbers used so far, taps included
     for ln in desc.lines:
-        if ln.name in segs:
+        if ln.name in made:
             raise ValidationError("duplicate qubit line")
-        segs[ln.name] = [ln.name + "0"]
         made[ln.name] = 1
+    alt = _clash_names(desc)
+
+    def name(q: str, k: int) -> str:
+        return alt.get((q, k), f"{q}{k}") if alt else f"{q}{k}"
+
+    segs = {q: [name(q, 0)] for q in made}  # line -> its segment names so far
     gates: list[GateInstance] = []
     for op in desc.ops:
         g, qs = op.gate, op.qubits
         for q in qs:
-            if q not in segs:
+            if q not in made:
                 raise ValidationError(f"gate {g.name} names unknown line {q}")
         slots = g.qubit_slots()
         if len(slots) != len(qs):
@@ -405,13 +402,9 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             if slot[0] == "pair":
                 k = made[q]
                 made[q] = k + 1
-                line.append(f"{q}{k}")
+                line.append(name(q, k))
                 wires[slot[2]] = line[-1]
         gates.append(GateInstance(g, tuple(wires)))
-    # two lines can share a segment name only when one line's name is the
-    # other's plus digits (q1 and q11)
-    if any(q[:i] in segs for q in segs for i in range(len(q.rstrip("0123456789")), len(q))):
-        gates = _rename_clashes(desc, segs, made, gates)
 
     out: list[Wire] = []
     # a line both starts and ends at the boundary even if gates cut it in
