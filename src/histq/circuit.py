@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import UnboundWire, ValidationError
-from .gates import GateDef
+from .gates import BUILTIN, GateDef
 
 
 _set = object.__setattr__   # what a frozen dataclass's own __init__ calls
@@ -327,13 +327,13 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     """The segment names that are not plain ``q<k>``, by (line, number).
 
     Line q uses one number for its input wire and one for each gate that
-    maps it, a tap included, so every segment keeps the name a cut there
-    would have given it.  Two lines share a plain name only when one line's
-    name is the other's plus digits (line ``q1`` cut ten times and line
-    ``q11`` both give ``q110``); each then takes ``q_<k>`` instead, with as
-    many underscores as it takes to be unique.  Empty when no two lines can
-    share a name; otherwise one pass over the ops counts each line's numbers
-    first."""
+    maps it, a gate that cuts nothing included, so every segment keeps the
+    name a cut there would have given it.  Two lines share a plain name
+    only when one line's name is the other's plus digits (line ``q1`` cut
+    ten times and line ``q11`` both give ``q110``); each then takes
+    ``q_<k>`` instead, with as many underscores as it takes to be unique.
+    Empty when no two lines can share a name; otherwise one pass over the
+    ops counts each line's numbers first."""
     made = {ln.name: 1 for ln in desc.lines}
     if not any(q[:i] in made for q in made for i in range(len(q.rstrip("0123456789")), len(q))):
         return {}
@@ -356,20 +356,37 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
 
 
 def lower_sequential(desc: SeqDescription) -> Circuit:
-    """Cut each qubit line into wire segments at the gates that act on it.
+    """Cut each qubit line into wire segments at the gates that map it.
 
     Segment k of line q is named ``q<k>`` (see ``_clash_names`` for the rare
-    clash); control and symmetric legs attach to the current segment
-    without cutting it.  A diagonal built-in changes no bit, so it does not
-    cut its target either: it lowers to ``GateDef.tap``, one phase gate on
-    the current segment of each line it names, exactly as a ``phase`` line
-    would.  It still uses up its target's next segment number, so every
-    segment keeps the name it had when such gates cut the line and
-    ``canonicalize`` fused the two pieces.  A gate that cuts a line names no
-    line twice (its second read would see its own output); symmetric taps
-    may repeat one.
+    clash); control and symmetric legs read the current segment without
+    cutting it.  Only gates that mix basis states cut.  The others keep the
+    line's segment and cost no wire:
+
+    * a diagonal built-in (Z, S, T, CZ, CCZ) changes no bit, so it lowers to
+      ``GateDef.tap``, one phase gate on the current segment of each line it
+      names, exactly as a ``phase`` line would;
+    * X flips a pending complement on its line: every later leg that reads
+      the segment reads it complemented (``~b3`` in a net file), until a
+      cut starts a fresh segment;
+    * Y = i*X*Z lowers to PHASE(pi) on the segment, read through the
+      pending complement, and a 0-leg PHASE(pi/2), then flips like X
+      (``GateDef.flip``); I lowers to nothing;
+    * SWAP trades the two lines' segments and pending complements.
+
+    Each of these still uses up its lines' next segment numbers, so a
+    segment keeps the name a cut there would have given it.  At the end, a
+    line with a pending complement gets one real X, and a line that holds
+    another line's uncut input wire gets one real I: with no cut between
+    them, no wire order keeps both the input ends and the output ends in
+    line order.  Wires are declared per line: the chain of segments that
+    starts on it, then its output end; an output end cut on another line
+    and swapped over is renamed ``<line><k>``, k its last segment number,
+    so every end's name starts with its line.  A gate that maps a line
+    names no line twice (read as a cut, its second read would see its own
+    output); symmetric taps may repeat one.
     """
-    made: dict[str, int] = {}           # line -> segment numbers used so far, taps included
+    made: dict[str, int] = {}           # line -> segment numbers used so far
     for ln in desc.lines:
         if ln.name in made:
             raise ValidationError("duplicate qubit line")
@@ -379,7 +396,14 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
     def name(q: str, k: int) -> str:
         return alt.get((q, k), f"{q}{k}") if alt else f"{q}{k}"
 
-    segs = {q: [name(q, 0)] for q in made}  # line -> its segment names so far
+    chains: dict[str, list[str]] = {}   # line -> the segments that start on it
+    held: dict[str, list[str]] = {}     # line -> the chain it carries now
+    cut_on: dict[str, str] = {}         # segment -> the line it was cut on
+    flipped = dict.fromkeys(made, False)    # line -> its segment reads complemented
+    for q in made:
+        first = name(q, 0)
+        chains[q] = held[q] = [first]
+        cut_on[first] = q
     gates: list[GateInstance] = []
     for op in desc.ops:
         g, qs = op.gate, op.qubits
@@ -393,28 +417,66 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             raise ValidationError(f"gate {g.name} names one line twice")
         if g.tap is not None:
             made[qs[-1]] += 1               # a diagonal built-in's target is its last qubit
-            gates.append(GateInstance(g.tap, tuple(segs[q][-1] for q in qs)))
+            negs = tuple([flipped[q] for q in qs])
+            gates.append(GateInstance(g.tap, tuple([held[q][-1] for q in qs]),
+                                      negs if True in negs else ()))
+            continue
+        if g.flip is not None:
+            q = qs[0]
+            made[q] += 1
+            flips, phases = g.flip
+            for p in phases:                # Y's: one on the line, one global
+                gates.append(GateInstance(p, (held[q][-1],) * p.n_legs,
+                                          (flipped[q],) * p.n_legs if flipped[q] else ()))
+            flipped[q] ^= flips
+            continue
+        if g.builtin_name == "SWAP":
+            a, b = qs
+            made[a] += 1
+            made[b] += 1
+            held[a], held[b] = held[b], held[a]
+            flipped[a], flipped[b] = flipped[b], flipped[a]
             continue
         wires: list = [None] * len(g.legs)
+        negs = [False] * len(g.legs)
         for slot, q in zip(slots, qs):
-            line = segs[q]
+            line = held[q]
             wires[slot[1]] = line[-1]
+            negs[slot[1]] = flipped[q]
             if slot[0] == "pair":
                 k = made[q]
                 made[q] = k + 1
-                line.append(name(q, k))
-                wires[slot[2]] = line[-1]
-        gates.append(GateInstance(g, tuple(wires)))
+                seg = name(q, k)
+                line.append(seg)
+                cut_on[seg] = q
+                wires[slot[2]] = seg
+                flipped[q] = False
+        gates.append(GateInstance(g, tuple(wires), tuple(negs) if True in negs else ()))
+    # the last gate on a line that needs a fix here cut nothing, so the
+    # line's last number names no segment yet
+    renamed: dict[str, str] = {}
+    for q, line in held.items():
+        last = line[-1]
+        if flipped[q] or (len(line) == 1 and cut_on[last] != q):
+            line.append(name(q, made[q] - 1))
+            gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, line[-1])))
+        elif cut_on[last] != q:
+            renamed[last] = name(q, made[q] - 1)
+    if renamed:
+        gates = [g if renamed.keys().isdisjoint(g.wires) else
+                 GateInstance(g.gate, tuple(renamed.get(w, w) for w in g.wires), g.negs)
+                 for g in gates]
 
     out: list[Wire] = []
     # a line both starts and ends at the boundary even if gates cut it in
-    # between; single-segment lines carry both flags on one wire
+    # between; a chain never cut is one wire with both flags
     for ln in desc.lines:
-        first, *mid = segs[ln.name]
+        first, *mid = chains[ln.name]
         if not mid:
             out.append(Wire(first, True, ln.in_value, True, ln.out_value))
             continue
         out.append(Wire(first, True, ln.in_value))
         out.extend(map(Wire, mid[:-1]))
-        out.append(Wire(mid[-1], False, None, True, ln.out_value))
+        last = held[ln.name][-1]
+        out.append(Wire(renamed.get(last, last), False, None, True, ln.out_value))
     return Circuit(out, gates, desc.norm_shift)

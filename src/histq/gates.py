@@ -22,10 +22,11 @@ A ``GateDef`` is immutable, so what the hot paths read of it is derived once
 per definition and cached: the flat entry ``table`` and ``nonzero_mask`` for
 pruning, ``support`` for constant propagation, and for the passes,
 ``validate`` and the emitter what the gate is (``builtin_name``,
-``is_phase``, and ``tap``: the phase gate a diagonal built-in equals once
-its target's two legs are one, which lowering and ``canonicalize`` both
-write) and what is wrong with it (``fault``).  Loading a file reads the leg
-facts: ``in_legs`` and ``out_legs`` (the input and output leg indices, which
+``is_phase``, ``tap``: the phase gate a diagonal built-in equals once its
+target's two legs are one, which lowering and ``canonicalize`` both write,
+and ``flip``: what X, Y and I lower to) and what is wrong with it
+(``fault``).  Loading a file reads the leg facts: ``in_legs`` and
+``out_legs`` (the input and output leg indices, which
 ``validate`` counts as consumers and producers), ``qubit_slots`` and
 ``cuts_line`` for lowering, and ``is_sequential`` for the parser's
 ``apply``; ``role_index`` gives each leg's role as a position, so
@@ -120,6 +121,19 @@ class GateDef:
         return None if theta is None else phase_gate(theta, len(self._qubit_slots))
 
     @cached_property
+    def flip(self) -> tuple[bool, tuple[GateDef, ...]] | None:
+        """For X, Y and I, which map each basis state of one line to one
+        basis state times a phase: whether the gate flips the bit, and the
+        phase gates it equals ahead of that flip (Y = i*X*Z: PHASE(pi) on
+        the line, then the 0-leg PHASE(pi/2)).  Lowering turns the flip into
+        complemented reads.  None for any other gate.  Caching it on the
+        built-in keeps Y's phase definitions alive."""
+        name = self.builtin_name
+        if name == "Y":
+            return True, (phase_gate(math.pi, 1), phase_gate(math.pi / 2, 0))
+        return {"X": (True, ()), "I": (False, ())}.get(name)
+
+    @cached_property
     def fault(self) -> str | None:
         """Unbalanced input and output legs, or not unitary; None if neither."""
         ins, outs = len(self.in_legs), len(self.out_legs)
@@ -175,8 +189,9 @@ class GateDef:
 
     @cached_property
     def cuts_line(self) -> bool:
-        """Some qubit argument pairs an input leg with an output leg, so
-        lowering ends that line's segment here."""
+        """Some qubit argument pairs an input leg with an output leg, so the
+        gate maps that line: lowering ends the line's segment here unless
+        the gate only relabels basis states (``tap``, ``flip``, SWAP)."""
         return any(s[0] == "pair" for s in self._qubit_slots)
 
     @cached_property

@@ -18,8 +18,12 @@ Seq mode declares qubit lines and applies gates in file order::
     apply <NAME> <qubitname>...     # one name per control plus one per target
     phase <theta> <qubitname>...    # taps the lines without cutting them
 
-``apply`` of a diagonal built-in (Z, S, T, CZ, CCZ) taps its lines like a
-``phase`` line (see ``circuit.lower_sequential``).
+``apply`` cuts a line only at a gate that mixes basis states.  A diagonal
+built-in (Z, S, T, CZ, CCZ) taps its lines like a ``phase`` line; X flips a
+pending complement, which later reads of the segment carry as ``~name`` in
+the lowered netlist; Y is that flip after two phase taps; I is nothing; and
+SWAP trades two lines' segments.  None of them costs a wire (see
+``circuit.lower_sequential``).
 
 Both modes may define custom gates; entries are RE:IM, rows are output bits::
 

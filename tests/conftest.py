@@ -2,12 +2,13 @@
 boundary queries; ``evaluate_at``, the history sum at a forced split; and
 ``seq_oracle``, a seq program's amplitude computed without lowering it."""
 
+import itertools
 import math
 
 import numpy as np
 
 from histq import (BUILTIN, BoundaryAssignment, Circuit, GateInstance,
-                   SeqDescription, SeqLine, SeqOp, Wire, evaluate,
+                   SeqDescription, SeqLine, SeqOp, Wire, evaluate, interface,
                    lower_sequential, phase_gate)
 from histq import engine
 
@@ -124,3 +125,22 @@ def seq_oracle(desc, in_bits, out_bits):
         front = np.einsum("cij,cjr->cir", blocks, flat).reshape(front.shape)
         psi = np.moveaxis(front, range(len(axes)), axes)
     return complex(psi[tuple(out_bits)]) * 2.0 ** (-k / 2)
+
+
+def line_queries(desc, c):
+    """Every boundary pattern of ``c``, the lowering of ``desc``: yields the
+    query that binds its free ends by position, as the CLI binds bit
+    strings, with the in and out bit of every line that query means."""
+    ins, outs = interface(c)
+    free_in = [i for i, ln in enumerate(desc.lines) if ln.in_value is None]
+    free_out = [i for i, ln in enumerate(desc.lines) if ln.out_value is None]
+    assert (len(ins), len(outs)) == (len(free_in), len(free_out))
+    for bits in itertools.product((0, 1), repeat=len(ins) + len(outs)):
+        line_in = [ln.in_value for ln in desc.lines]
+        line_out = [ln.out_value for ln in desc.lines]
+        for i, b in zip(free_in, bits):
+            line_in[i] = b
+        for i, b in zip(free_out, bits[len(ins):]):
+            line_out[i] = b
+        yield (BoundaryAssignment(dict(zip(ins, bits)), dict(zip(outs, bits[len(ins):]))),
+               line_in, line_out)

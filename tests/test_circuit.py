@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -13,7 +12,7 @@ from histq import (BUILTIN, Amplitude, BoundaryAssignment, Circuit,
                    validate)
 from histq.circuit import attachments
 
-from conftest import seq_oracle
+from conftest import line_queries, seq_oracle
 
 
 def w(name, **kw):
@@ -187,7 +186,7 @@ def test_lower_sequential_segment_names():
 def test_lower_sequential_segment_name_clash():
     # line q1 cut ten times would name its last segment q110, which is also
     # segment 0 of line q11
-    ops = tuple(SeqOp(BUILTIN["X"], ("q1",)) for _ in range(10))
+    ops = tuple(SeqOp(BUILTIN["H"], ("q1",)) for _ in range(10))
     c = lower_sequential(SeqDescription((SeqLine("q1"), SeqLine("q11")), ops))
     names = [x.name for x in c.wires]
     assert len(set(names)) == len(names) == 12
@@ -195,7 +194,7 @@ def test_lower_sequential_segment_name_clash():
     assert names[10:] == ["q1_10", "q11_0"]
     assert validate(c) == []
     # a separator that would clash in turn grows until it is unique
-    ops += tuple(SeqOp(BUILTIN["X"], ("q1_",)) for _ in range(10))
+    ops += tuple(SeqOp(BUILTIN["H"], ("q1_",)) for _ in range(10))
     c = lower_sequential(SeqDescription(
         (SeqLine("q1"), SeqLine("q11"), SeqLine("q1_")), ops))
     names = [x.name for x in c.wires]
@@ -228,12 +227,51 @@ def test_lower_sequential_taps_diagonal_gates():
         lower_sequential(SeqDescription((SeqLine("a"),), (SeqOp(BUILTIN["CZ"], ("a", "a")),)))
 
 
+def test_lower_sequential_relabels_permutations():
+    # X, Y, I and SWAP cut nothing.  X flips a complement that later reads of
+    # the segment carry; Y adds its two phases first; SWAP trades the lines'
+    # segments and complements.  Each uses up a segment number, and a line
+    # still flipped at the end gets one real X
+    a, b = SeqLine("a", in_value=0), SeqLine("b")
+    desc = SeqDescription((a, b), tuple(SeqOp(BUILTIN[name], qs) for name, qs in (
+        ("H", ("a",)), ("X", ("a",)), ("CNOT", ("a", "b")), ("Y", ("b",)),
+        ("I", ("a",)), ("SWAP", ("a", "b")))))
+    c = lower_sequential(desc)
+    assert [(x.name, x.in_bound, x.in_value, x.out_bound) for x in c.wires] == [
+        ("a0", True, 0, False), ("a1", False, None, False), ("a4", False, None, True),
+        ("b0", True, None, False), ("b1", False, None, False), ("b3", False, None, True)]
+    assert [(g.gate, g.wires, g.negs) for g in c.gates] == [
+        (BUILTIN["H"], ("a0", "a1"), (False, False)),
+        (BUILTIN["CNOT"], ("a1", "b0", "b1"), (True, False, False)),
+        (phase_gate(math.pi, 1), ("b1",), (False,)), (phase_gate(math.pi / 2, 0), (), ()),
+        (BUILTIN["X"], ("b1", "a4"), (False, False)), (BUILTIN["X"], ("a1", "b3"), (False, False))]
+    assert validate(c) == []
+    # Y's phases live on the built-in, so every lowering shares them
+    assert BUILTIN["Y"].flip == (True, (phase_gate(math.pi, 1), phase_gate(math.pi / 2, 0)))
+    assert BUILTIN["X"].flip == (True, ()) and BUILTIN["I"].flip == (False, ())
+    assert BUILTIN["SWAP"].flip is None and BUILTIN["H"].flip is None
+
+    def lowered(*ops):
+        c = lower_sequential(SeqDescription((SeqLine("a"), SeqLine("b")),
+                                            tuple(SeqOp(BUILTIN[n], qs) for n, qs in ops)))
+        return [x.name for x in c.wires], [(g.gate.name, g.wires) for g in c.gates]
+
+    # an output end cut on the other line takes its own line's name
+    assert lowered(("H", ("a",)), ("H", ("b",)), ("SWAP", ("a", "b"))) == (
+        ["a0", "a2", "b0", "b2"], [("H", ("a0", "b2")), ("H", ("b0", "a2"))])
+    # a line holding the other's uncut input wire gets one real cut, so that
+    # input ends and output ends both keep line order
+    assert lowered(("SWAP", ("a", "b")),) == (
+        ["a0", "a1", "b0", "b1"], [("I", ("b0", "a1")), ("I", ("a0", "b1"))])
+    assert lowered(("SWAP", ("a", "b")), ("SWAP", ("b", "a"))) == (["a0", "b0"], [])
+
+
 def test_lower_sequential_clash_counts_the_names_taps_skip():
     # q1's tenth gate is a tap, so no segment is named q110, but q11's first
     # segment is renamed as it was when that gate cut q1; q111 clashes with
     # nothing and keeps its plain name
-    ops = tuple(SeqOp(BUILTIN["X"], ("q1",)) for _ in range(9)) + (SeqOp(BUILTIN["Z"], ("q1",)),
-                                                                  SeqOp(BUILTIN["X"], ("q1",)))
+    ops = tuple(SeqOp(BUILTIN["H"], ("q1",)) for _ in range(9)) + (SeqOp(BUILTIN["Z"], ("q1",)),
+                                                                  SeqOp(BUILTIN["H"], ("q1",)))
     c = lower_sequential(SeqDescription((SeqLine("q1"), SeqLine("q11")), ops))
     names = [x.name for x in c.wires]
     assert names == [f"q1{k}" for k in range(10)] + ["q111", "q11_0"]
@@ -245,8 +283,9 @@ _DIAGONAL = {"Z", "S", "T", "CZ", "CCZ"}
 
 def cut_netlist(lines, ops, angle):
     """The net-mode file that cuts every line at every gate, diagonal ones
-    included (``gate Z a b``), with segment k of line q named ``q_s<k>``:
-    the lowering before diagonal gates tapped, written out by hand."""
+    and X included (``gate Z a b``), with segment k of line q named
+    ``q_s<k>``: the lowering before diagonal gates tapped and X flipped a
+    complement, written out by hand."""
     segs = {q: 0 for q, _, _ in lines}
     body = []
     for name, qs in ops:
@@ -296,7 +335,16 @@ def test_taps_and_cuts_give_the_same_amplitudes(seed, eighth_turns):
     ok, dev = equivalent(tapped, cut)
     assert ok and dev <= (1e-15 if eighth_turns else 0.0)
 
-    k = sum(name in _DIAGONAL for name, _ in ops)
+    # each diagonal gate and each X saves the cut's wire, but a line still
+    # flipped at its end (an odd number of X since its last cut) gets one
+    # real X there
+    flipped = {q: False for q in names}
+    for name, qs in ops:
+        if name == "X":
+            flipped[qs[0]] ^= True
+        elif name in ("H", "CNOT", "TOFFOLI"):
+            flipped[qs[-1]] = False
+    k = sum(name in _DIAGONAL or name == "X" for name, _ in ops) - sum(flipped.values())
     (ins_t, outs_t), (ins_c, outs_c) = interface(tapped), interface(cut)
     bits = [rng.getrandbits(1) for _ in ins_t + outs_t]
     q_t = BoundaryAssignment(dict(zip(ins_t, bits)), dict(zip(outs_t, bits[len(ins_t):])))
@@ -310,6 +358,9 @@ def test_taps_and_cuts_give_the_same_amplitudes(seed, eighth_turns):
 
 
 _SEQ_BUILTINS = sorted(name for name, d in BUILTIN.items() if d.is_sequential)
+# the gates that relabel a line's wire (X, Y, SWAP) and those that read a
+# relabelled wire (controls) come up twice as often
+_DRAWN = _SEQ_BUILTINS + ["X", "Y", "SWAP", "CNOT", "TOFFOLI"]
 _ONE_LINE = [name for name in _SEQ_BUILTINS if len(BUILTIN[name].qubit_slots()) == 1]
 
 
@@ -326,13 +377,13 @@ def oracle_program(rng, clash):
     lines = tuple(SeqLine(q, rng.choice([None, None, 0, 1]), rng.choice([None, None, 0, 1]))
                   for q in names)
     ops = []
-    for _ in range(rng.randint(0, 4 if clash else 10)):
+    for _ in range(rng.randint(0, 5 if clash else 12)):
         if rng.random() < 0.15:
             k = rng.randint(0, 3)
             ops.append(SeqOp(phase_gate(rng.choice([math.pi, math.pi / 2, 0.7]), k),
                              tuple(rng.choices(names, k=k))))
             continue
-        d = BUILTIN[rng.choice(_SEQ_BUILTINS)]
+        d = BUILTIN[rng.choice(_DRAWN)]
         if len(d.qubit_slots()) <= len(names):
             ops += [SeqOp(d, tuple(rng.sample(names, len(d.qubit_slots()))))] * rng.choice([1, 1, 1, 2, 3])
     if len(names) > 1 and rng.random() < 0.3:
@@ -345,7 +396,7 @@ def oracle_program(rng, clash):
     return SeqDescription(lines, tuple(ops))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_lowering_matches_the_dense_oracle(seed, clash):
     # the oracle never reads the lowered netlist, so a lowering fault that
@@ -354,19 +405,8 @@ def test_lowering_matches_the_dense_oracle(seed, clash):
     desc = oracle_program(random.Random(seed), clash)
     c = lower_sequential(desc)
     assert validate(c) == []
-    ins, outs = interface(c)
-    free_in = [i for i, ln in enumerate(desc.lines) if ln.in_value is None]
-    free_out = [i for i, ln in enumerate(desc.lines) if ln.out_value is None]
-    assert (len(ins), len(outs)) == (len(free_in), len(free_out))
-    line_in = [ln.in_value for ln in desc.lines]
-    line_out = [ln.out_value for ln in desc.lines]
-    for bits in itertools.product((0, 1), repeat=len(ins) + len(outs)):
-        for i, b in zip(free_in, bits):
-            line_in[i] = b
-        for i, b in zip(free_out, bits[len(ins):]):
-            line_out[i] = b
+    for q, line_in, line_out in line_queries(desc, c):
         want = seq_oracle(desc, line_in, line_out)
-        q = BoundaryAssignment(dict(zip(ins, bits)), dict(zip(outs, bits[len(ins):])))
         assert abs(evaluate(c, q).value - want) <= 1e-12
         assert abs(amplitude_canonical(c, q) - want) <= 1e-12
 

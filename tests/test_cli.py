@@ -179,6 +179,42 @@ def test_count_exact_line(tmp_path, capsys):
     assert "unrecognized arguments: --in 0" in capsys.readouterr().err
 
 
+def test_count_of_x_chain_is_zero_wires(tmp_path, capsys):
+    # X flips a complement instead of cutting: three of them leave one flip,
+    # which becomes one real X between the line's two ends
+    p = tmp_path / "xxx.circuit"
+    p.write_text("version 1\nmode seq\nqubit a\n" + "apply X a\n" * 3)
+    assert cli.main(["count", str(p)]) == 0
+    assert capsys.readouterr().out == "internal_wires=0 histories=1\n"
+
+
+SWAPPED = """\
+version 1
+mode seq
+qubit a
+qubit b in=0
+qubit c
+apply H a
+apply SWAP a c
+apply X b
+apply SWAP b c
+"""
+
+
+@pytest.mark.parametrize("out, amplitude", [
+    ("001", 0.5 ** 0.5), ("011", -0.5 ** 0.5), ("000", 0.0), ("101", 0.0), ("111", 0.0)])
+def test_swap_keeps_bit_strings_bound_per_line(tmp_path, capsys, out, amplitude):
+    # SWAP trades the lines' wires, yet --in and --out still give one bit per
+    # line in line order: a ends with c's input, b with H of a's input, and
+    # c with b's pinned 0 flipped
+    p = tmp_path / "swap.circuit"
+    p.write_text(SWAPPED)
+    assert cli.main(["compare", str(p), "--in", "1-0", "--out", out]) == 0
+    got = kv(capsys)
+    assert float(got["soh_re"]) == pytest.approx(amplitude, abs=1e-15)
+    assert float(got["delta"]) == 0.0
+
+
 def test_bent_wire_runs_only_by_histories(tmp_path, capsys):
     p = tmp_path / "bent.circuit"
     p.write_text(EXAMPLES["bent-wire"])

@@ -11,7 +11,7 @@ from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
                    ValidationError, Wire,
                    amplitude_canonical, classify_wires, equivalent, evaluate,
                    free_output_ends, gate_factor, lower_sequential,
-                   memory_probe, output_distribution, parse_circuit,
+                   matrix_gate, memory_probe, output_distribution, parse_circuit,
                    phase_gate, resolve_boundary)
 from histq import engine
 from histq.engine import resolve_max_wires
@@ -21,8 +21,14 @@ from conftest import (POOL1, POOL2, POOL3, THETAS, evaluate_at, random_circuit,
                       random_netlist, random_query)
 
 
-def chain(n_gates, name="a", gate="X"):
-    ops = tuple(SeqOp(BUILTIN[gate], (name,)) for _ in range(n_gates))
+# X's matrix under a name seq lowering does not know: it cuts its line at
+# every gate, where the built-in X only flips a complement and costs no wire
+NOT = matrix_gate("NOT", [[0, 1], [1, 0]])
+NOT_TEXT = "matrix NOT 1\n0:0 1:0\n1:0 0:0\n"
+
+
+def chain(n_gates, name="a"):
+    ops = tuple(SeqOp(NOT, (name,)) for _ in range(n_gates))
     return lower_sequential(SeqDescription((SeqLine(name),), ops))
 
 
@@ -80,7 +86,7 @@ def test_eval_result_counts():
 
 def test_classical_chain_accepts_one_history():
     c = chain(9)
-    # 9 X gates: in=0 forces every segment, out bit must be 1
+    # 9 NOT gates: in=0 forces every segment, out bit must be 1
     r = evaluate(c, BoundaryAssignment({"a0": 0}, {"a9": 1}))
     assert r.value == 1 and r.accepted == 1
     assert evaluate(c, BoundaryAssignment({"a0": 0}, {"a9": 0})).accepted == 0
@@ -247,7 +253,8 @@ def test_default_split_folds_boundary_only_gates(case):
 
 def test_default_split_below_w_matches_fixed_split():
     # 40 gates on 6 lines give w = 13 (T and CZ tap their lines without
-    # cutting them), where the cost model splits below w
+    # cutting them, and NOT stands in for X, which would not cut either),
+    # where the cost model splits below w
     # (a split at 16, capped at w, holds every history in one block)
     rng = random.Random(3)
     names = [f"q{i}" for i in range(6)]
@@ -255,7 +262,8 @@ def test_default_split_below_w_matches_fixed_split():
     for _ in range(40):
         r = rng.random()
         if r < 0.5:
-            ops.append(SeqOp(BUILTIN[rng.choice(["H", "H", "X", "T"])], (rng.choice(names),)))
+            d = rng.choice(["H", "H", "X", "T"])
+            ops.append(SeqOp(NOT if d == "X" else BUILTIN[d], (rng.choice(names),)))
         elif r < 0.8:
             ops.append(SeqOp(BUILTIN[rng.choice(["CNOT", "CZ"])], tuple(rng.sample(names, 2))))
         else:
@@ -290,12 +298,13 @@ def test_cancelled_marginal_still_accepted():
 
 def test_block_skip_keeps_accepted_exact(monkeypatch):
     # internal wires sort a1, a2, b1; a split at low 1 leaves only b1 in the low
-    # bits, so the X between a1 and a2 reads high bits only and zeroes the
+    # bits, so the NOT between a1 and a2 reads high bits only and zeroes the
     # two blocks where a1 == a2 before any lane is touched
-    c = parse_circuit("version 1\nmode seq\nqubit a in=0 out=0\nqubit b in=0 out=0\n"
-                      "apply H a\napply X a\napply H a\napply H b\napply H b\n")
+    c = parse_circuit("version 1\nmode seq\n" + NOT_TEXT + "qubit a in=0 out=0\n"
+                      "qubit b in=0 out=0\n"
+                      "apply H a\napply NOT a\napply H a\napply H b\napply H b\n")
     whole = evaluate(c, BoundaryAssignment())
-    assert whole.value == 1 and whole.accepted == 4   # HXH = Z, HH = I
+    assert whole.value == 1 and whole.accepted == 4   # H NOT H = Z, HH = I
     calls = []
     run_gates = engine._run_gates
     monkeypatch.setattr(engine, "_run_gates", lambda gates, h, vals:

@@ -7,14 +7,16 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (BoundaryAssignment, Circuit, CircuitError, GateDef, GateInstance,
-                   ParseError, Role, Wire, amplitude_canonical, canonicalize, emit_circuit,
-                   equivalent, interface, matrix_gate, parse_circuit, phase_gate, validate)
+from histq import (BUILTIN, BoundaryAssignment, Circuit, CircuitError, GateDef,
+                   GateInstance, ParseError, Role, SeqDescription, SeqLine, SeqOp, Wire,
+                   amplitude_canonical, canonicalize, emit_circuit, equivalent, evaluate,
+                   interface, lower_sequential, matrix_gate, parse_circuit, phase_gate,
+                   validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import attachments
 from histq.parser import parse_theta
 
-from conftest import random_circuit
+from conftest import line_queries, random_circuit, random_ops, seq_oracle
 
 
 def perr(text):
@@ -220,6 +222,29 @@ def test_parse_of_emit_is_the_identity(seed, complemented):
     assert equivalent(canon, back)[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_parse_of_emit_keeps_the_complements_of_seq_lowering(seed):
+    # X, Y and SWAP lower to complemented reads and traded segments: emit
+    # writes each complement as ~name, and parse reads back the same
+    # netlist with the same amplitudes, which the dense oracle confirms
+    rng = random.Random(seed)
+    names = ["a", "b", "c"]
+    lines = tuple(SeqLine(q, rng.choice([None, 0]), rng.choice([None, None, 1])) for q in names)
+    ops = (SeqOp(BUILTIN["X"], ("a",)), SeqOp(BUILTIN["CNOT"], ("a", "b"))) + \
+        random_ops(rng, names, g_max=10)
+    desc = SeqDescription(lines, ops)
+    c = lower_sequential(desc)
+    text = emit_circuit(c)
+    assert "gate CNOT ~a0 b0 " in text
+    back = parse_circuit(text)
+    assert back.structural_key() == c.structural_key()
+    for q, line_in, line_out in line_queries(desc, c):
+        value = evaluate(c, q).value
+        assert evaluate(back, q).value == value
+        assert abs(value - seq_oracle(desc, line_in, line_out)) <= 1e-12
+
+
 def test_emit_folds_phase_norms():
     # a lone H becomes one phase line with its normalization on the norm line
     text = ("version 1\nmode net\nnorm 1\n"
@@ -350,8 +375,10 @@ def seq_text(rng):
 
 # sha256 over the structural keys below, recorded from the implementation
 # whose parse every later one must reproduce exactly (re-recorded when the
-# diagonal built-ins began to tap their lines instead of cutting them)
-PINNED_SEQ_PARSE_DIGEST = "c401290b94c2468b490f7120b9bb84a0cb9e9b130626d21e6158851d930e696e"
+# diagonal built-ins began to tap their lines instead of cutting them, and
+# again when X, Y, I and SWAP stopped cutting, once the dense oracle of
+# test_circuit agreed with that lowering)
+PINNED_SEQ_PARSE_DIGEST = "125a8ba94ea0ce1df9193c933c513667f5c2f43dcf446c661e3da512fef82579"
 
 
 def test_seq_parse_output_is_pinned():

@@ -91,15 +91,17 @@ def test_canonicalize_idempotent():
 
 
 def test_compute_constants_follows_forced_values():
-    c = parse_circuit("version 1\nmode seq\nqubit a in=0\n"
-                      "apply X a\napply X a\n")
+    # NOT is X under a name seq lowering does not know, so each one cuts
+    c = parse_circuit("version 1\nmode seq\nmatrix NOT 1\n0:0 1:0\n1:0 0:0\n"
+                      "qubit a in=0\napply NOT a\napply NOT a\n")
     known = compute_constants(c)
     assert known == {"a0": 0, "a1": 1, "a2": 0}
 
 
 def test_compute_constants_through_general_gates():
-    # Y forces its output bit even though its entries are not 0/1
-    c = parse_circuit("version 1\nmode seq\nqubit a in=1\napply Y a\n")
+    # Y forces its output bit even though its entries are not 0/1 (in net
+    # mode: seq lowering turns Y into phases and a flip)
+    c = parse_circuit("version 1\nmode net\nwire a0 in=1\nwire a1 out\ngate Y a0 a1\n")
     assert compute_constants(c) == {"a0": 1, "a1": 0}
     # H forces nothing
     c = parse_circuit("version 1\nmode seq\nqubit a in=1\napply H a\n")
@@ -378,8 +380,9 @@ def test_a_step_that_would_move_an_end_or_lose_a_sum_is_refused(body, name):
 # output every later rewrite must reproduce exactly (re-recorded when the
 # diagonal built-ins began to tap their lines: the default passes emit the
 # same circuits, but each pass alone now starts from tapped inputs, and
-# canonicalize reports changed=0 where fusing was its only work)
-PINNED_REWRITE_DIGEST = "5e29e75959ad82b191d818eae71eb3a0cefe989099d24496793bc72a8f6758b0"
+# canonicalize reports changed=0 where fusing was its only work; and again
+# when X, Y, I and SWAP stopped cutting, since random_circuit lowers them)
+PINNED_REWRITE_DIGEST = "3982c4aae372a85e890cb1dc5764879bf3f8b887233cd4b1460107fe38419ab4"
 
 
 def test_default_passes_output_is_pinned():
@@ -428,8 +431,10 @@ def diagonal_seq_text(rng):
 
 
 # sha256 over the emitted default rewrites below, recorded from the lowering
-# that cut a line at every diagonal gate: tapping instead must not change them
-PINNED_SEQ_REWRITE_DIGEST = "29382858c44992a022563ae57cf077cdb028fd9223481db93a97b7c6eb62c215"
+# that cut a line at every diagonal gate: tapping instead did not change
+# them.  Re-recorded when X, Y, I and SWAP stopped cutting, since the files
+# use them and their wires now read complemented instead
+PINNED_SEQ_REWRITE_DIGEST = "12ef86eb9ef44a9a9e254a9d077e5e48e113de9890114d2b10cc1568c7e05a51"
 
 
 def test_default_rewrite_of_seq_files_is_pinned():
