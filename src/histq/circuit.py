@@ -12,8 +12,9 @@ declared (``in``/``out``, with or without a pinned bit) or left unfilled by
 gate legs.  External wire values come from the boundary; internal wires take
 both values, one assignment per history.
 
-``attachments`` is the one home of this rule.  ``Circuit.ends`` keeps only
-the boundary flags it implies; pinned bits stay on the ``Wire``, and
+``attachments`` is the one home of this rule.  A circuit keeps only the
+input and output wires it implies; ``Circuit.ends`` gives the flags per wire
+name, built on each call.  Pinned bits stay on the ``Wire``, and
 ``interface`` names the unpinned boundary ends, the ones a query binds.
 """
 
@@ -136,19 +137,34 @@ class Circuit:
         return self.norm_shift + sum(g.gate.norm_exponent for g in self.gates)
 
     @cached_property
-    def ends(self) -> dict[str, WireEnds]:
-        """Boundary flags per wire: a declared end, or one no gate leg fills."""
-        return {w.name: _ENDS[w.in_bound or producer is None, w.out_bound or consumer is None]
-                for w, (producer, consumer, _) in zip(self.wires, attachments(self).values())}
+    def _boundary(self) -> tuple[tuple[Wire, ...], tuple[Wire, ...]]:
+        """The wires with a boundary begin end and those with a boundary end
+        end, each in declaration order: a declared end, or one no gate leg
+        fills.  No per-wire table is kept: a circuit holds these two only."""
+        ins, outs = [], []
+        for w, (producer, consumer, _) in zip(self.wires, attachments(self).values()):
+            if w.in_bound or producer is None:
+                ins.append(w)
+            if w.out_bound or consumer is None:
+                outs.append(w)
+        return tuple(ins), tuple(outs)
 
-    @cached_property
+    @property
     def input_wires(self) -> tuple[Wire, ...]:
         """Wires with a boundary begin end, declaration order."""
-        return tuple(w for w in self.wires if self.ends[w.name].in_boundary)
+        return self._boundary[0]
 
-    @cached_property
+    @property
     def output_wires(self) -> tuple[Wire, ...]:
-        return tuple(w for w in self.wires if self.ends[w.name].out_boundary)
+        return self._boundary[1]
+
+    @property
+    def ends(self) -> dict[str, WireEnds]:
+        """Boundary flags per wire name, built on each call from
+        ``input_wires`` and ``output_wires``."""
+        ins = {w.name for w in self.input_wires}
+        outs = {w.name for w in self.output_wires}
+        return {w.name: _ENDS[w.name in ins, w.name in outs] for w in self.wires}
 
     def structural_key(self):
         return (tuple((w.name, w.in_bound, w.in_value, w.out_bound, w.out_value)
@@ -184,9 +200,10 @@ def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Partition wire names into (internal, external), each in declaration
     order.  Internal wires have both ends on gate legs; external wires touch
     the circuit boundary somewhere."""
+    ext = {w.name for w in c.input_wires}.union(w.name for w in c.output_wires)
     internal, external = [], []
     for w in c.wires:
-        (internal if c.ends[w.name].internal else external).append(w.name)
+        (external if w.name in ext else internal).append(w.name)
     return tuple(internal), tuple(external)
 
 
@@ -270,12 +287,13 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
     a boundary end has no value from either source, and ValidationError for a
     supplied bit other than 0 or 1.
     """
-    for side, bits in (("input", b.in_bits), ("output", b.out_bits)):
+    ins = {w.name for w in c.input_wires}
+    outs = {w.name for w in c.output_wires}
+    for side, bits, ends in (("input", b.in_bits, ins), ("output", b.out_bits, outs)):
         for name, bit in bits.items():
-            e = c.ends.get(name)
-            if e is None:
-                raise UnboundWire(f"no wire named {name}")
-            if not (e.in_boundary if side == "input" else e.out_boundary):
+            if name not in ends:
+                if name not in ins and name not in outs and all(w.name != name for w in c.wires):
+                    raise UnboundWire(f"no wire named {name}")
                 raise ValidationError(f"wire {name} has no boundary {side} end")
             if bit not in (0, 1):
                 raise ValidationError(f"{side} bit for wire {name} must be 0 or 1, got {bit!r}")
@@ -283,10 +301,9 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
     conflict = False
     missing: list[str] = []
     for w in c.wires:
-        e = c.ends[w.name]
         got: list[int] = []
-        for side, at_boundary, bits, pin in (("in", e.in_boundary, b.in_bits, w.in_value),
-                                             ("out", e.out_boundary, b.out_bits, w.out_value)):
+        for side, at_boundary, bits, pin in (("in", w.name in ins, b.in_bits, w.in_value),
+                                             ("out", w.name in outs, b.out_bits, w.out_value)):
             if at_boundary:
                 sources = [int(v) for v in (bits.get(w.name), pin) if v is not None]
                 if not sources:

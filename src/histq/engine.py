@@ -39,6 +39,7 @@ What the circuit alone fixes — the sorted internal wires, each gate's entry
 table and leg reads, and the split with the gates grouped by stage — is one
 plan, built on the circuit's first query and shared by every later
 ``evaluate``, so ``output_distribution`` and ``equivalent`` build it once.
+Plans are kept for the last ``PLANS_KEPT`` circuits planned.
 The wire guard runs on every query; ``wire_guard`` is the one home of that
 check, for ``output_distribution`` and the dense engine too.
 """
@@ -189,6 +190,10 @@ def _build_plan(c: Circuit) -> _Prepared:
 
 
 _PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared
+# A plan is about as large as its circuit, so a program that keeps many
+# evaluated circuits alive (every rewrite answer it checked, say) would hold
+# a plan for each: only the most recently built ones stay.
+PLANS_KEPT = 64
 
 
 def wire_guard(n: int, what: str, max_wires: int | None, *,
@@ -206,9 +211,13 @@ def wire_guard(n: int, what: str, max_wires: int | None, *,
 
 
 def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
-    """The circuit's plan, built on its first call; the wire guard runs on every call."""
+    """The circuit's plan, built on its first call and kept while the
+    circuit lives and is among the last ``PLANS_KEPT`` planned; the wire
+    guard runs on every call."""
     prep = _PLANS.get(c)
     if prep is None:
+        if len(_PLANS) >= PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]      # the oldest plan
         prep = _PLANS[c] = _build_plan(c)
     w = len(prep.internal)
     wire_guard(w, f"{w} internal wires", max_wires)

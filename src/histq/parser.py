@@ -308,14 +308,15 @@ def emit_circuit(c: Circuit) -> str:
     body: list[str] = []
     emitted_custom: dict[str, GateDef] = {}
 
+    ins = {w.name for w in c.input_wires}
+    outs = {w.name for w in c.output_wires}
     for w in c.wires:
         if not _NAME.fullmatch(w.name):
             raise ValueError(f"wire name {w.name!r} has no file representation")
-        e = c.ends[w.name]
         parts = [f"wire {w.name}"]
-        if e.in_boundary:
+        if w.name in ins:
             parts.append("in" if w.in_value is None else f"in={w.in_value}")
-        if e.out_boundary:
+        if w.name in outs:
             parts.append("out" if w.out_value is None else f"out={w.out_value}")
         body.append(" ".join(parts))
 

@@ -235,8 +235,8 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
                          and w.in_value != w.out_value)
         if w.name in held or contradictory:
             keep.append(w)
-        elif c.ends[w.name].internal:
-            return None
+        elif w not in c.input_wires and w not in c.output_wires:
+            return None         # an internal wire no gate reads any more
         else:
             orphans.append(w.name)
     nc = c.replace(wires=tuple(keep), gates=gates, norm_shift=norm_shift)

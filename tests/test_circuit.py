@@ -107,6 +107,18 @@ def test_wires_and_gate_instances_hold_no_dict():
     assert not hasattr(GateInstance(BUILTIN["X"], ("a", "b")), "__dict__")
 
 
+def test_circuits_keep_no_table_per_wire():
+    # a circuit keeps its input and output wires, not a dict over every wire:
+    # every kept rewrite answer stays small; ends is built when asked for
+    c = parse_circuit("version 1\nmode seq\nqubit a in=0\nqubit b\n"
+                      "apply H a\napply CNOT a b\napply H a\n")
+    assert interface(c) == (("b0",), ("a2", "b1"))
+    assert classify_wires(c) == (("a1",), ("a0", "a2", "b0", "b1"))
+    assert not any(isinstance(v, dict) for v in vars(c).values())
+    assert c.ends["a1"].internal and c.ends["a0"].in_boundary and c.ends["b1"].out_boundary
+    assert c.ends is not c.ends
+
+
 def test_complement_patterns_are_shared():
     x = GateInstance(BUILTIN["X"], ("a", "b"))
     h = GateInstance(BUILTIN["H"], ("c", "d"), negs=(False, False))

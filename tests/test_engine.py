@@ -382,6 +382,21 @@ def test_plan_is_built_once_per_circuit(monkeypatch):
         evaluate(c, q, max_wires=len(first.internal_wires) - 1)
 
 
+def test_plans_are_kept_for_the_last_circuits_planned(monkeypatch):
+    # a program that keeps many evaluated circuits alive keeps only the last
+    # PLANS_KEPT plans; an older circuit's next query plans it again
+    monkeypatch.setattr(engine, "PLANS_KEPT", 3)
+    built = []
+    real = engine._build_plan
+    monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
+    cs = [parse_circuit(TELEPORTATION_TEXT) for _ in range(4)]
+    q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
+    values = [evaluate(c, q).value for c in cs]
+    assert len(engine._PLANS) == 3 and cs[0] not in engine._PLANS
+    assert evaluate(cs[0], q).value == values[0] and evaluate(cs[3], q).value == values[3]
+    assert built == cs + [cs[0]]
+
+
 def test_transition_probability():
     c = parse_circuit("version 1\nmode seq\nqubit a in=0\napply H a\n")
     p = abs(evaluate(c, BoundaryAssignment({}, {"a1": 0})).value) ** 2
