@@ -340,6 +340,11 @@ class SeqDescription:
     norm_shift: int = 0
 
 
+# The built-ins that lowering relabels instead of cutting: the diagonal ones
+# (``GateDef.tap``), X, Y and I (``GateDef.flip``) and SWAP.
+_RELABELS = frozenset(n for n, d in BUILTIN.items() if d.tap or d.flip) | {"SWAP"}
+
+
 def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     """The segment names that are not plain ``q<k>``, by (line, number).
 
@@ -409,17 +414,14 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             raise ValidationError("duplicate qubit line")
         made[ln.name] = 1
     alt = _clash_names(desc)
-
-    def name(q: str, k: int) -> str:
-        return alt.get((q, k), f"{q}{k}") if alt else f"{q}{k}"
-
     chains: dict[str, list[str]] = {}   # line -> the segments that start on it
     held: dict[str, list[str]] = {}     # line -> the chain it carries now
+    flipped: dict[str, bool] = {}       # line -> its segment reads complemented
     cut_on: dict[str, str] = {}         # segment -> the line it was cut on
-    flipped = dict.fromkeys(made, False)    # line -> its segment reads complemented
     for q in made:
-        first = name(q, 0)
+        first = alt.get((q, 0), f"{q}0") if alt else f"{q}0"
         chains[q] = held[q] = [first]
+        flipped[q] = False
         cut_on[first] = q
     gates: list[GateInstance] = []
     for op in desc.ops:
@@ -432,53 +434,57 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             raise ValidationError(f"gate {g.name} takes {len(slots)} qubits, got {len(qs)}")
         if g.cuts_line and len(qs) > 1 and len(set(qs)) < len(qs):
             raise ValidationError(f"gate {g.name} names one line twice")
-        if g.tap is not None:
-            made[qs[-1]] += 1               # a diagonal built-in's target is its last qubit
-            negs = tuple([flipped[q] for q in qs])
-            gates.append(GateInstance(g.tap, tuple([held[q][-1] for q in qs]),
-                                      negs if True in negs else ()))
-            continue
-        if g.flip is not None:
-            q = qs[0]
-            made[q] += 1
-            flips, phases = g.flip
-            for p in phases:                # Y's: one on the line, one global
-                gates.append(GateInstance(p, (held[q][-1],) * p.n_legs,
-                                          (flipped[q],) * p.n_legs if flipped[q] else ()))
-            flipped[q] ^= flips
-            continue
-        if g.builtin_name == "SWAP":
-            a, b = qs
-            made[a] += 1
-            made[b] += 1
-            held[a], held[b] = held[b], held[a]
-            flipped[a], flipped[b] = flipped[b], flipped[a]
+        if g.builtin_name in _RELABELS:
+            if g.tap is not None:
+                made[qs[-1]] += 1           # a diagonal built-in's target is its last qubit
+                negs = tuple(map(flipped.__getitem__, qs))
+                gates.append(GateInstance(g.tap, tuple([held[q][-1] for q in qs]),
+                                          negs if True in negs else ()))
+            elif g.flip is not None:
+                q = qs[0]
+                made[q] += 1
+                flips, phases = g.flip
+                for p in phases:            # Y's: one on the line, one global
+                    gates.append(GateInstance(p, (held[q][-1],) * p.n_legs,
+                                              (flipped[q],) * p.n_legs if flipped[q] else ()))
+                flipped[q] ^= flips
+            else:                           # SWAP
+                a, b = qs
+                made[a] += 1
+                made[b] += 1
+                held[a], held[b] = held[b], held[a]
+                flipped[a], flipped[b] = flipped[b], flipped[a]
             continue
         wires: list = [None] * len(g.legs)
-        negs = [False] * len(g.legs)
+        negs = None
         for slot, q in zip(slots, qs):
             line = held[q]
             wires[slot[1]] = line[-1]
-            negs[slot[1]] = flipped[q]
+            if flipped[q]:
+                if negs is None:
+                    negs = [False] * len(g.legs)
+                negs[slot[1]] = True
             if slot[0] == "pair":
                 k = made[q]
                 made[q] = k + 1
-                seg = name(q, k)
+                seg = f"{q}{k}"
+                if alt:
+                    seg = alt.get((q, k), seg)
                 line.append(seg)
                 cut_on[seg] = q
                 wires[slot[2]] = seg
                 flipped[q] = False
-        gates.append(GateInstance(g, tuple(wires), tuple(negs) if True in negs else ()))
+        gates.append(GateInstance(g, tuple(wires), tuple(negs) if negs else ()))
     # the last gate on a line that needs a fix here cut nothing, so the
     # line's last number names no segment yet
     renamed: dict[str, str] = {}
     for q, line in held.items():
         last = line[-1]
         if flipped[q] or (len(line) == 1 and cut_on[last] != q):
-            line.append(name(q, made[q] - 1))
+            line.append(alt.get((q, made[q] - 1), f"{q}{made[q] - 1}"))
             gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, line[-1])))
         elif cut_on[last] != q:
-            renamed[last] = name(q, made[q] - 1)
+            renamed[last] = alt.get((q, made[q] - 1), f"{q}{made[q] - 1}")
     if renamed:
         gates = [g if renamed.keys().isdisjoint(g.wires) else
                  GateInstance(g.gate, tuple(renamed.get(w, w) for w in g.wires), g.negs)
