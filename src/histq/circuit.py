@@ -480,11 +480,12 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
     renamed: dict[str, str] = {}
     for q, line in held.items():
         last = line[-1]
+        end = alt.get((q, made[q] - 1), f"{q}{made[q] - 1}")
         if flipped[q] or (len(line) == 1 and cut_on[last] != q):
-            line.append(alt.get((q, made[q] - 1), f"{q}{made[q] - 1}"))
-            gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, line[-1])))
+            line.append(end)
+            gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, end)))
         elif cut_on[last] != q:
-            renamed[last] = alt.get((q, made[q] - 1), f"{q}{made[q] - 1}")
+            renamed[last] = end
     if renamed:
         gates = [g if renamed.keys().isdisjoint(g.wires) else
                  GateInstance(g.gate, tuple(renamed.get(w, w) for w in g.wires), g.negs)

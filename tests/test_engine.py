@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -386,6 +387,7 @@ def test_plans_are_kept_for_the_last_circuits_planned(monkeypatch):
     # a program that keeps many evaluated circuits alive keeps only the last
     # PLANS_KEPT plans; an older circuit's next query plans it again
     monkeypatch.setattr(engine, "PLANS_KEPT", 3)
+    monkeypatch.setattr(engine, "_PLANS", weakref.WeakKeyDictionary())
     built = []
     real = engine._build_plan
     monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
