@@ -14,16 +14,18 @@ both values, one assignment per history.
 
 ``attachments`` is the one home of this rule.  A circuit keeps only the
 input and output wires it implies; ``Circuit.ends`` gives the flags per wire
-name, built on each call.  Pinned bits stay on the ``Wire``, and
+name, built when asked for.  Pinned bits stay on the ``Wire``, and
 ``interface`` names the unpinned boundary ends, the ones a query binds.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import UnboundWire, ValidationError
@@ -107,6 +109,8 @@ _ENDS = {(i, o): WireEnds(i, o) for i in (False, True) for o in (False, True)}
 
 Leg = tuple[int, int]   # (gate index, leg index)
 
+_last_ends = (lambda: None, MappingProxyType({}))   # (weak circuit, its ends)
+
 
 class Circuit:
     """Immutable-by-convention netlist.  Wires keep declaration order, which
@@ -159,12 +163,20 @@ class Circuit:
         return self._boundary[1]
 
     @property
-    def ends(self) -> dict[str, WireEnds]:
-        """Boundary flags per wire name, built on each call from
-        ``input_wires`` and ``output_wires``."""
-        ins = {w.name for w in self.input_wires}
-        outs = {w.name for w in self.output_wires}
-        return {w.name: _ENDS[w.name in ins, w.name in outs] for w in self.wires}
+    def ends(self) -> Mapping[str, WireEnds]:
+        """Boundary flags per wire name, read-only.  Built from
+        ``input_wires`` and ``output_wires`` when asked for and kept for the
+        last circuit asked only: ``c.ends[name]`` in a loop over the wires
+        builds it once, and a circuit kept alive holds no table."""
+        global _last_ends
+        ref, ends = _last_ends
+        if ref() is not self:
+            ins = {w.name for w in self.input_wires}
+            outs = {w.name for w in self.output_wires}
+            ends = MappingProxyType({w.name: _ENDS[w.name in ins, w.name in outs]
+                                     for w in self.wires})
+            _last_ends = weakref.ref(self), ends
+        return ends
 
     def structural_key(self):
         return (tuple((w.name, w.in_bound, w.in_value, w.out_bound, w.out_value)
@@ -377,6 +389,17 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     return alt
 
 
+def _named_on(seg: str, q: str, made: int, alt: dict[tuple[str, int], str]) -> bool:
+    """Whether ``seg`` is one of the ``made`` segment names line q gives:
+    ``q<k>``, or its ``_clash_names`` entry.  No two segments share a name,
+    so the name tells which line cut the segment."""
+    digits = seg[len(q):].lstrip("_")
+    if not (seg.startswith(q) and digits.isascii() and digits.isdecimal()):
+        return False
+    k = int(digits)
+    return k < made and alt.get((q, k), f"{q}{k}") == seg
+
+
 def lower_sequential(desc: SeqDescription) -> Circuit:
     """Cut each qubit line into wire segments at the gates that map it.
 
@@ -417,12 +440,9 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
     chains: dict[str, list[str]] = {}   # line -> the segments that start on it
     held: dict[str, list[str]] = {}     # line -> the chain it carries now
     flipped: dict[str, bool] = {}       # line -> its segment reads complemented
-    cut_on: dict[str, str] = {}         # segment -> the line it was cut on
     for q in made:
-        first = alt.get((q, 0), f"{q}0") if alt else f"{q}0"
-        chains[q] = held[q] = [first]
+        chains[q] = held[q] = [alt.get((q, 0), f"{q}0") if alt else f"{q}0"]
         flipped[q] = False
-        cut_on[first] = q
     gates: list[GateInstance] = []
     for op in desc.ops:
         g, qs = op.gate, op.qubits
@@ -471,7 +491,6 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
                 if alt:
                     seg = alt.get((q, k), seg)
                 line.append(seg)
-                cut_on[seg] = q
                 wires[slot[2]] = seg
                 flipped[q] = False
         gates.append(GateInstance(g, tuple(wires), tuple(negs) if negs else ()))
@@ -481,10 +500,10 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
     for q, line in held.items():
         last = line[-1]
         end = alt.get((q, made[q] - 1), f"{q}{made[q] - 1}")
-        if flipped[q] or (len(line) == 1 and cut_on[last] != q):
+        if flipped[q] or (len(line) == 1 and line is not chains[q]):
             line.append(end)
             gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, end)))
-        elif cut_on[last] != q:
+        elif len(line) > 1 and not _named_on(last, q, made[q], alt):
             renamed[last] = end
     if renamed:
         gates = [g if renamed.keys().isdisjoint(g.wires) else

@@ -1,5 +1,6 @@
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,14 +110,19 @@ def test_wires_and_gate_instances_hold_no_dict():
 
 def test_circuits_keep_no_table_per_wire():
     # a circuit keeps its input and output wires, not a dict over every wire:
-    # every kept rewrite answer stays small; ends is built when asked for
+    # every kept rewrite answer stays small; ends is built when asked for,
+    # once for repeated lookups, and only the last circuit asked keeps it
     c = parse_circuit("version 1\nmode seq\nqubit a in=0\nqubit b\n"
                       "apply H a\napply CNOT a b\napply H a\n")
+    d = parse_circuit("version 1\nmode seq\nqubit a\napply H a\n")
     assert interface(c) == (("b0",), ("a2", "b1"))
     assert classify_wires(c) == (("a1",), ("a0", "a2", "b0", "b1"))
-    assert not any(isinstance(v, dict) for v in vars(c).values())
     assert c.ends["a1"].internal and c.ends["a0"].in_boundary and c.ends["b1"].out_boundary
-    assert c.ends is not c.ends
+    assert c.ends is c.ends and d.ends is not c.ends and c.ends is not d.ends
+    assert [n for n, e in c.ends.items() if e.internal] == ["a1"]
+    assert not any(isinstance(v, Mapping) for v in vars(c).values())
+    with pytest.raises(TypeError):
+        c.ends["a1"] = c.ends["a0"]
 
 
 def test_complement_patterns_are_shared():
