@@ -383,9 +383,10 @@ def test_plan_is_built_once_per_circuit(monkeypatch):
         evaluate(c, q, max_wires=len(first.internal_wires) - 1)
 
 
-def test_plans_are_kept_for_the_last_circuits_planned(monkeypatch):
-    # a program that keeps many evaluated circuits alive keeps only the last
-    # PLANS_KEPT plans; an older circuit's next query plans it again
+def test_plans_are_kept_for_the_last_circuits_queried(monkeypatch):
+    # a program that keeps many evaluated circuits alive keeps only the
+    # PLANS_KEPT plans queried last; an older circuit's next query plans it
+    # again, and a working set within the bound is never planned twice
     monkeypatch.setattr(engine, "PLANS_KEPT", 3)
     monkeypatch.setattr(engine, "_PLANS", weakref.WeakKeyDictionary())
     built = []
@@ -393,10 +394,16 @@ def test_plans_are_kept_for_the_last_circuits_planned(monkeypatch):
     monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
     cs = [parse_circuit(TELEPORTATION_TEXT) for _ in range(4)]
     q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
-    values = [evaluate(c, q).value for c in cs]
-    assert len(engine._PLANS) == 3 and cs[0] not in engine._PLANS
-    assert evaluate(cs[0], q).value == values[0] and evaluate(cs[3], q).value == values[3]
-    assert built == cs + [cs[0]]
+    values = [evaluate(c, q).value for c in cs[:3]]
+    for _ in range(3):                  # cycling through three circuits
+        for c, v in zip(cs[:3], values):
+            assert evaluate(c, q).value == v
+    assert built == cs[:3]
+    evaluate(cs[1], q)                  # a hit makes cs[1] the most recent
+    values.append(evaluate(cs[3], q).value)
+    assert list(engine._PLANS) == [cs[2], cs[1], cs[3]]
+    assert evaluate(cs[0], q).value == values[0]
+    assert built == cs + [cs[0]] and cs[2] not in engine._PLANS
 
 
 def test_transition_probability():
