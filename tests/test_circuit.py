@@ -282,6 +282,11 @@ def test_lower_sequential_relabels_permutations():
     assert lowered(("SWAP", ("a", "b")),) == (
         ["a0", "a1", "b0", "b1"], [("I", ("b0", "a1")), ("I", ("a0", "b1"))])
     assert lowered(("SWAP", ("a", "b")), ("SWAP", ("b", "a"))) == (["a0", "b0"], [])
+    # a segment keeps its name when its own line holds it at the end, even
+    # after a round trip, and a later number on that line does not rename it
+    assert lowered(("H", ("a",)), ("SWAP", ("a", "b")), ("H", ("a",)),
+                   ("SWAP", ("a", "b")), ("T", ("a",))) == (
+        ["a0", "a1", "b0", "b2"], [("H", ("a0", "a1")), ("H", ("b0", "b2")), ("PHASE", ("a1",))])
 
 
 def test_lower_sequential_clash_counts_the_names_taps_skip():
