@@ -1,6 +1,7 @@
 """Shared generators: random sequential circuits, random netlists and
-boundary queries; ``evaluate_at``, the history sum at a forced split; and
-``seq_oracle``, a seq program's amplitude computed without lowering it."""
+boundary queries; ``evaluate_at``, the history sum at a forced split;
+``seq_oracle``, a seq program's amplitude computed without lowering it; and
+``leg_attachments``, the free-end rule placed leg by leg."""
 
 import itertools
 import math
@@ -83,6 +84,30 @@ def random_netlist(rng):
         gates.append(GateInstance(d, tuple(rng.choice(wires).name for _ in d.legs),
                                   tuple(rng.random() < 0.3 for _ in d.legs)))
     return Circuit(wires, gates)
+
+
+def leg_attachments(c):
+    """Each wire's (producer, consumer, taps) as (gate, leg)s: the first output
+    leg fills the begin end, the first input leg the end end, symmetric legs
+    fill undeclared open ends begin side first, and every other leg taps.
+    An end that no leg fills is at the boundary.  The reference the
+    library's leg count is checked against."""
+    legs = {w.name: ([], [], [], []) for w in c.wires}   # IN, OUT, CTRL, SYM
+    for gi, g in enumerate(c.gates):
+        for li, (wname, role) in enumerate(zip(g.wires, g.gate.role_index)):
+            legs[wname][role].append((gi, li))
+    out = {}
+    for w in c.wires:
+        consumers, producers, ctrls, syms = legs[w.name]
+        producer = producers[0] if producers else None
+        consumer = consumers[0] if consumers else None
+        if producer is None and not w.in_bound and syms:
+            producer = syms.pop(0)
+        if consumer is None and not w.out_bound and syms:
+            consumer = syms.pop(0)
+        out[w.name] = (producer, consumer,
+                       tuple(ctrls + producers[1:] + consumers[1:] + syms))
+    return out
 
 
 def evaluate_at(low, c, q=None, **opts):

@@ -4,7 +4,7 @@
 callers look them up by, and the workloads, the self-test and the trace
 probe call the library directly; a refactor that renames, moves or drops one
 of those names makes the benchmark fail.  This catches that here instead of
-at benchmark time, and so do one short untraced rewrite run and one
+at benchmark time, and so do one short traced rewrite run and one
 many-queries round, for a parser, lowering or pass change that breaks a
 workload's inputs or checks.
 """
@@ -61,9 +61,10 @@ def test_bench_selftest_and_a_traced_run_pass():
     assert traced.returncode == 0, traced.stdout + traced.stderr
     assert json.loads(traced.stdout.splitlines()[-1])["correct"]
     # one round of the rewrite workload: parse, lower, validate and the
-    # default passes on every input, each answer checked
+    # default passes on every input, each answer checked, untraced and then
+    # traced; the span wrappers read ``ends`` on every answer
     rewrite = run("bench/run.py", "--workload", "rewrite", "--seed", "1",
-                  "--seconds", "0.01", "--trace", "0")
+                  "--seconds", "0.01", "--trace", "1")
     assert rewrite.returncode == 0, rewrite.stdout + rewrite.stderr
     assert json.loads(rewrite.stdout.splitlines()[-1])["correct"] is True
 

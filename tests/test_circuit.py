@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections.abc import Mapping
@@ -11,9 +12,10 @@ from histq import (BUILTIN, Amplitude, BoundaryAssignment, Circuit,
                    classify_wires, equivalent, evaluate, gate_factor, interface,
                    lower_sequential, parse_circuit, phase_gate, resolve_boundary,
                    validate)
-from histq.circuit import attachments
+from histq.circuit import WireEnds, end_claims
 
-from conftest import line_queries, seq_oracle
+from conftest import (leg_attachments, line_queries, random_circuit, random_netlist,
+                      seq_oracle)
 
 
 def w(name, **kw):
@@ -31,9 +33,8 @@ def test_matrix_gate_ends():
     # a --H--> b : a's out end is consumed, b's in end is produced
     c = Circuit((w("a", in_bound=True), w("b", out_bound=True)),
                 (GateInstance(BUILTIN["H"], ("a", "b")),))
-    att = attachments(c)
-    assert att["a"][:2] == (None, (0, 0))
-    assert att["b"][:2] == ((0, 1), None)
+    assert end_claims(c) == ({"a": 1, "b": 1}, {"a": 1, "b": 1})
+    assert c.ends == {"a": WireEnds(True, False), "b": WireEnds(False, True)}
     ea, eb = c.ends["a"], c.ends["b"]
     assert ea.in_boundary and not ea.internal
     assert eb.out_boundary
@@ -42,7 +43,9 @@ def test_matrix_gate_ends():
 def test_control_leg_taps():
     c = Circuit((w("c", in_value=1), w("a", in_bound=True), w("b", out_bound=True)),
                 (GateInstance(BUILTIN["CNOT"], ("c", "a", "b")),))
-    assert attachments(c)["c"] == (None, None, ((0, 0),))
+    # the control claims neither end of c, so its end end stays open
+    assert [claims["c"] for claims in end_claims(c)] == [1, 0]
+    assert c.ends["c"] == WireEnds(True, True)
 
 
 def test_symmetric_legs_fill_open_ends():
@@ -53,11 +56,10 @@ def test_symmetric_legs_fill_open_ends():
                 (GateInstance(BUILTIN["H"], ("a", "m")),
                  GateInstance(BUILTIN["H"], ("n", "z")),
                  GateInstance(BUILTIN["XOR3"], ("m", "n", "t"))))
-    att = attachments(c)
-    assert att["m"][:2] == ((0, 1), (2, 0))
-    assert att["n"][:2] == ((2, 1), (1, 0))
+    produced, consumed = end_claims(c)
+    assert (produced["m"], consumed["m"], produced["n"], consumed["n"]) == (1, 0, 0, 1)
     assert c.ends["m"].internal and c.ends["n"].internal
-    assert att["t"][2] == ((2, 2),)
+    assert c.ends["t"] == WireEnds(True, True)
     assert classify_wires(c) == (("m", "n"), ("a", "z", "t"))
 
 
@@ -123,6 +125,59 @@ def test_circuits_keep_no_table_per_wire():
     assert not any(isinstance(v, Mapping) for v in vars(c).values())
     with pytest.raises(TypeError):
         c.ends["a1"] = c.ends["a0"]
+
+
+def test_boundary_answers_belong_to_the_circuit_asked():
+    # one table holds the last circuit's boundary: answers asked of two
+    # circuits in turn, one of them dropped and collected in between, must
+    # each be the answer for the circuit asked
+    def answers(c):
+        return c.input_wires, c.output_wires, dict(c.ends), interface(c)
+
+    texts = ["version 1\nmode seq\nqubit a in=0\nqubit b\napply H a\napply CNOT a b\n",
+             "version 1\nmode net\nwire x in\nwire y out\nwire z\ngate H x y\n",
+             "version 1\nmode seq\nqubit p\napply H p\napply H p\n"]
+    want = [answers(parse_circuit(t)) for t in texts]
+    c, d = parse_circuit(texts[0]), parse_circuit(texts[1])
+    for ask in (lambda x: x.input_wires, lambda x: x.ends, interface):
+        for x, i in ((c, 0), (d, 1), (c, 0)):
+            ask(x)
+            assert answers(x) == want[i]
+            ask(d)
+            assert answers(x) == want[i]
+    d.ends  # the table now holds d
+    del d
+    gc.collect()
+    e = parse_circuit(texts[2])
+    assert e.output_wires == want[2][1] and interface(e) == want[2][3]
+    assert answers(c) == want[0] and dict(e.ends) == want[2][2] and answers(e) == want[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_boundary_matches_the_leg_by_leg_rule(seed, netlist):
+    """On any netlist, and on lowered circuits with complemented reads, the
+    boundary is the one the free-end rule gives leg by leg: an end no leg
+    fills, or a declared one."""
+    rng = random.Random(seed)
+    if netlist:
+        c = random_netlist(rng)
+    else:
+        c = random_circuit(rng, g_max=10)
+        c = c.replace(gates=[GateInstance(g.gate, g.wires,
+                                          tuple(rng.random() < 0.3 for _ in g.wires))
+                             for g in c.gates])
+    att = leg_attachments(c)
+    ins = [x for x in c.wires if x.in_bound or att[x.name][0] is None]
+    outs = [x for x in c.wires if x.out_bound or att[x.name][1] is None]
+    assert c.input_wires == tuple(ins) and c.output_wires == tuple(outs)
+    begin, end = {x.name for x in ins}, {x.name for x in outs}
+    assert dict(c.ends) == {x.name: WireEnds(x.name in begin, x.name in end) for x in c.wires}
+    assert classify_wires(c) == (
+        tuple(x.name for x in c.wires if x.name not in begin | end),
+        tuple(x.name for x in c.wires if x.name in begin | end))
+    assert interface(c) == (tuple(x.name for x in ins if x.in_value is None),
+                            tuple(x.name for x in outs if x.out_value is None))
 
 
 def test_complement_patterns_are_shared():
@@ -197,7 +252,7 @@ def test_lower_sequential_segment_names():
     assert tuple(x.name for x in c.wires) == ("a0", "a1", "a2", "b0", "b1")
     assert c.wires[0].in_value == 0
     # CNOT's control taps a1 without cutting it; b0 and b1 are line ends
-    assert attachments(c)["a1"][2] == ((1, 0),)
+    assert [claims["a1"] for claims in end_claims(c)] == [1, 1]
     assert classify_wires(c) == (("a1",), ("a0", "a2", "b0", "b1"))
 
 

@@ -13,7 +13,7 @@ from histq import (BUILTIN, BoundaryAssignment, Circuit, CircuitError, GateDef,
                    interface, lower_sequential, matrix_gate, parse_circuit, phase_gate,
                    validate)
 from histq.examples import EXAMPLES, TELEPORTATION_TEXT
-from histq.circuit import attachments
+from histq.circuit import WireEnds, end_claims
 from histq.parser import parse_theta
 
 from conftest import line_queries, random_circuit, random_ops, seq_oracle
@@ -159,8 +159,8 @@ def test_custom_matrix_block():
             "wire a out\nwire b in\ngate R a b\n")
     c = parse_circuit(text)
     assert c.gates[0].gate.entries[0, 1] == 1  # row 0 = output bit 0
-    att = attachments(c)
-    assert att["a"][0] == (0, 0) and att["b"][1] == (0, 1)
+    assert end_claims(c) == ({"a": 1, "b": 1}, {"a": 1, "b": 1})
+    assert c.ends == {"a": WireEnds(False, True), "b": WireEnds(True, False)}
     assert validate(c) == []
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import histq.statevector
-from histq import (BoundaryAssignment, Circuit, GateInstance, NonSequential,
-                   SeqDescription, SeqLine, amplitude_canonical, evaluate,
+from histq import (BoundaryAssignment, Circuit, GateDef, GateInstance, NonSequential,
+                   Role, SeqDescription, SeqLine, Wire, amplitude_canonical, evaluate,
                    lower_sequential, parse_circuit, phase_gate)
 from histq.examples import BENT_WIRE_TEXT, TELEPORTATION_TEXT, THREE_STAGE_TEXT
 
@@ -177,6 +177,42 @@ def test_gate_reading_its_own_output_has_no_schedule(body):
     with pytest.raises(NonSequential, match="feedback loop"):
         amplitude_canonical(c, BoundaryAssignment(
             {w.name: 0 for w in c.input_wires}, {w.name: 0 for w in c.output_wires}))
+
+
+MIXED = GateDef("MIX", (Role.IN, Role.OUT, Role.SYM), np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: parse_circuit("version 1\nmode net\nwire a in\nwire b in\nwire c out\n"
+                           "gate X a c\ngate X b c\n"),
+     "wire c has two producers or two consumers"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a out\nphase pi a\n"),
+     r"gate 0 \(PHASE\) binds symmetric legs to wire ends"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a in\nwire b in out\n"
+                           "phase pi b\nphase pi b a\n"),
+     r"gate 1 \(PHASE\) binds symmetric legs to wire ends"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a in out\nwire b in out\n"
+                           "wire c in out\ngate XOR3 a b c\n"),
+     r"gate 0 \(XOR3\) taps wires but is not a pure phase"),
+    (lambda: Circuit((Wire("a", in_bound=True), Wire("b", out_bound=True),
+                      Wire("t", in_bound=True, out_bound=True)),
+                     (GateInstance(MIXED, ("a", "b", "t")),)),
+     r"gate 0 \(MIX\) mixes symmetric and directed legs"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a in\nwire b out\ngate CNOT a a b\n"),
+     r"gate 0 \(CNOT\) binds one qubit to two roles"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a\nwire b\ngate X a b\ngate X b a\n"),
+     "feedback loop"),
+    (lambda: parse_circuit("version 1\nmode net\nwire a\ngate X a a\n"),
+     "feedback loop"),
+], ids=["two producers", "symmetric leg fills a begin end",
+        "symmetric leg fills an end end", "not a pure phase", "mixed legs",
+        "one qubit in two roles", "feedback loop", "self-loop"])
+def test_dense_refusals(make, match):
+    c = make()
+    with pytest.raises(NonSequential, match=match):
+        amplitude_canonical(c, BoundaryAssignment(
+            {w.name: 0 for w in c.input_wires if w.in_value is None},
+            {w.name: 0 for w in c.output_wires if w.out_value is None}))
 
 
 @settings(max_examples=100, deadline=None)
