@@ -5,17 +5,18 @@ wire is a segment with two ends; each end is either attached to a gate leg or
 open at the circuit boundary.  Directed legs claim ends (an output leg
 produces, an input leg consumes), control legs tap a wire anywhere along it,
 and symmetric legs fill whichever ends are still open — extra symmetric
-attachments act as taps.
+legs act as taps.
 
 A wire is *external* when at least one of its ends is at the boundary: either
 declared (``in``/``out``, with or without a pinned bit) or left unfilled by
 gate legs.  External wire values come from the boundary; internal wires take
 both values, one assignment per history.
 
-``attachments`` is the one home of this rule.  A circuit keeps only the
-input and output wires it implies; ``Circuit.ends`` gives the flags per wire
-name, built when asked for.  Pinned bits stay on the ``Wire``, and
-``interface`` names the unpinned boundary ends, the ones a query binds.
+``_boundary`` is the one home of this rule: a count of each wire's legs by
+role.  The input and output wires it implies, and ``Circuit.ends``, the
+flags per wire name, are kept for the last circuit asked only.  Pinned bits
+stay on the ``Wire``, and ``interface`` names the unpinned boundary ends,
+the ones a query binds.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ class WireEnds:
 
 _ENDS = {(i, o): WireEnds(i, o) for i in (False, True) for o in (False, True)}
 
-Leg = tuple[int, int]   # (gate index, leg index)
-
-_last_ends = (lambda: None, MappingProxyType({}))   # (weak circuit, its ends)
+# (weak circuit, input wires, output wires, ends or None until asked for) of
+# the last circuit asked: a circuit kept alive holds no table
+_last = (lambda: None, (), (), None)
 
 
 class Circuit:
@@ -140,42 +141,27 @@ class Circuit:
     def total_norm_exponent(self) -> int:
         return self.norm_shift + sum(g.gate.norm_exponent for g in self.gates)
 
-    @cached_property
-    def _boundary(self) -> tuple[tuple[Wire, ...], tuple[Wire, ...]]:
-        """The wires with a boundary begin end and those with a boundary end
-        end, each in declaration order: a declared end, or one no gate leg
-        fills.  No per-wire table is kept: a circuit holds these two only."""
-        ins, outs = [], []
-        for w, (producer, consumer, _) in zip(self.wires, attachments(self).values()):
-            if w.in_bound or producer is None:
-                ins.append(w)
-            if w.out_bound or consumer is None:
-                outs.append(w)
-        return tuple(ins), tuple(outs)
-
     @property
     def input_wires(self) -> tuple[Wire, ...]:
         """Wires with a boundary begin end, declaration order."""
-        return self._boundary[0]
+        return _boundary(self)[1]
 
     @property
     def output_wires(self) -> tuple[Wire, ...]:
-        return self._boundary[1]
+        return _boundary(self)[2]
 
     @property
     def ends(self) -> Mapping[str, WireEnds]:
-        """Boundary flags per wire name, read-only.  Built from
-        ``input_wires`` and ``output_wires`` when asked for and kept for the
-        last circuit asked only: ``c.ends[name]`` in a loop over the wires
-        builds it once, and a circuit kept alive holds no table."""
-        global _last_ends
-        ref, ends = _last_ends
-        if ref() is not self:
-            ins = {w.name for w in self.input_wires}
-            outs = {w.name for w in self.output_wires}
-            ends = MappingProxyType({w.name: _ENDS[w.name in ins, w.name in outs]
+        """Boundary flags per wire name, read-only, built when first asked
+        for and kept with the input and output wires."""
+        global _last
+        ref, ins, outs, ends = _boundary(self)
+        if ends is None:
+            begin = {w.name for w in ins}
+            end = {w.name for w in outs}
+            ends = MappingProxyType({w.name: _ENDS[w.name in begin, w.name in end]
                                      for w in self.wires})
-            _last_ends = weakref.ref(self), ends
+            _last = ref, ins, outs, ends
         return ends
 
     def structural_key(self):
@@ -185,27 +171,32 @@ class Circuit:
                 self.norm_shift)
 
 
-def attachments(c: Circuit) -> dict[str, tuple[Leg | None, Leg | None, tuple[Leg, ...]]]:
-    """Each wire's (producer, consumer, taps) as (gate, leg)s: the first output
-    leg fills the begin end, the first input leg the end end, symmetric legs
-    fill undeclared open ends begin side first, and every other leg taps."""
-    # per wire, its legs by role: IN, OUT, CTRL, SYM (GateDef.role_index)
-    legs = {w.name: ([], [], [], []) for w in c.wires}
-    for gi, g in enumerate(c.gates):
-        for li, (wname, role) in enumerate(zip(g.wires, g.gate.role_index)):
-            legs[wname][role].append((gi, li))
-    out = {}
+def _boundary(c: Circuit) -> tuple:
+    """``c``'s ``_last`` entry, read once, so a caller never gets another
+    circuit's boundary; counted again when the last circuit asked was
+    another.  A wire's begin end is at the boundary when declared or when it
+    has no output and no symmetric leg; without an output leg or a declared
+    begin, one symmetric leg fills it.  Its end end is at the boundary when
+    declared or when it has no input leg and no symmetric leg remains."""
+    global _last
+    entry = _last
+    if entry[0]() is c:
+        return entry
+    legs = {w.name: [0, 0, 0, 0] for w in c.wires}   # IN, OUT, CTRL, SYM (GateDef.role_index)
+    for g in c.gates:
+        for wname, role in zip(g.wires, g.gate.role_index):
+            legs[wname][role] += 1
+    ins, outs = [], []
     for w in c.wires:
-        consumers, producers, ctrls, syms = legs[w.name]
-        producer = producers[0] if producers else None
-        consumer = consumers[0] if consumers else None
-        if producer is None and not w.in_bound and syms:
-            producer = syms.pop(0)
-        if consumer is None and not w.out_bound and syms:
-            consumer = syms.pop(0)
-        out[w.name] = (producer, consumer,
-                       tuple(ctrls + producers[1:] + consumers[1:] + syms))
-    return out
+        n_in, n_out, _, n_sym = legs[w.name]
+        if w.in_bound or not (n_out or n_sym):
+            ins.append(w)
+        elif not n_out:
+            n_sym -= 1
+        if w.out_bound or not (n_in or n_sym):
+            outs.append(w)
+    entry = _last = (weakref.ref(c), tuple(ins), tuple(outs), None)
+    return entry
 
 
 def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:

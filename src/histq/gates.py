@@ -29,8 +29,9 @@ and ``flip``: what X, Y and I lower to) and what is wrong with it
 ``out_legs`` (the input and output leg indices, which
 ``validate`` counts as consumers and producers), ``qubit_slots`` and
 ``cuts_line`` for lowering, and ``is_sequential`` for the parser's
-``apply``; ``role_index`` gives each leg's role as a position, so
-``circuit.attachments`` files legs without hashing a ``Role``.
+``apply``; ``role_index`` gives each leg's role as a position, so the
+boundary count in ``circuit`` and the dense schedule in ``statevector``
+sort legs without hashing a ``Role``.
 """
 
 from __future__ import annotations

@@ -220,8 +220,9 @@ def _rebuild(c: Circuit, kind: str, detail: str, gates: tuple[GateInstance, ...]
     refusal, a merge that would give one wire two producers or two
     consumers, is made by ``_short_xor_step`` from the pair's ``end_claims``.
 
-    ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those left with
-    no attachments and nothing the query can bind are dropped.  A wire stays
+    ``wires`` (default: all of ``c``'s) are wires of ``c``.  Those no gate
+    leg touches any more and that hold nothing the query can bind are
+    dropped.  A wire stays
     if any gate still touches it, if it is one of ``c``'s free ends
     (``interface``), or if contradictory pins make it the reason every
     amplitude is zero.

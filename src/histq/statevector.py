@@ -4,8 +4,12 @@ A circuit is *sequential* when no wire has two producers or two consumers
 (``circuit.end_claims``), every gate either moves qubits forward
 (matrix-style legs; controls tap live wires) or is a pure diagonal factor (a
 symmetric gate all of whose legs are taps, with unit-modulus entries), and the
-producer/consumer graph is acyclic.  Everything else — feedback loops, shared
-reads, symmetric gates that claim wire ends — raises NonSequential.
+producer/consumer graph is acyclic.  By the free-end rule of ``circuit``, a
+symmetric leg taps its wire only when a directed leg or a declaration claims
+each of its ends.  Everything else — feedback loops, shared reads, symmetric
+gates that claim wire ends — raises NonSequential.  ``graphlib`` orders the
+gates: each wire's producer before the gates that read it, its taps before
+its consumer.
 
 Evaluation holds a (2,)*n amplitude tensor, one axis per qubit, and
 contracts it with each scheduled gate's entry tensor in one ``np.einsum``.
@@ -24,14 +28,13 @@ and kept while the circuit lives; a circuit with none raises on every query.
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .circuit import (Amplitude, BoundaryAssignment, Circuit, attachments,
-                      end_claims, resolve_boundary)
+from .circuit import Amplitude, BoundaryAssignment, Circuit, end_claims, resolve_boundary
 from .engine import HARD_MAX_WIRES, wire_guard
 from .errors import NonSequential
 from .gates import Role
@@ -47,36 +50,17 @@ class SeqPlan:
 
 def sequential_order(c: Circuit) -> SeqPlan:
     """Schedule the circuit's gates, or raise NonSequential."""
-    for counts in end_claims(c):
+    produced, consumed = end_claims(c)
+    for counts in (produced, consumed):
         for name, n in counts.items():
             if n > 1:
                 raise NonSequential(f"wire {name} has two producers or two consumers, a "
                                     "declared end counting as one; no gate schedule exists")
-    att = attachments(c)
-    n_gates = len(c.gates)
-    succ: list[set[int]] = [set() for _ in range(n_gates)]
-    indeg = [0] * n_gates
-
-    def edge(a: int, b: int):
-        if b not in succ[a]:   # a == b: a gate that reads its own output never gets ready
-            succ[a].add(b)
-            indeg[b] += 1
-
-    for producer, consumer, taps in att.values():
-        p = producer[0] if producer else None
-        s = consumer[0] if consumer else None
-        for t, _ in taps:
-            if p is not None:
-                edge(p, t)
-            if s is not None and s != t:   # a control on its own input fails below
-                edge(t, s)
-        if p is not None and s is not None:
-            edge(p, s)
-
     for gi, g in enumerate(c.gates):
         d = g.gate
         if d.is_symmetric:
-            if not all((gi, li) in att[w][2] for li, w in enumerate(g.wires)):
+            # a symmetric leg fills an end of its wire that nothing else claims
+            if not all(produced[w] and consumed[w] for w in g.wires):
                 raise NonSequential(
                     f"gate {gi} ({d.name}) binds symmetric legs to wire ends; "
                     "no schedule treats it as an operator")
@@ -85,18 +69,32 @@ def sequential_order(c: Circuit) -> SeqPlan:
         elif not d.is_matrix_style:
             raise NonSequential(f"gate {gi} ({d.name}) mixes symmetric and directed legs")
 
-    ready = [gi for gi in range(n_gates) if indeg[gi] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        gi = heapq.heappop(ready)
-        order.append(gi)
-        for nx in succ[gi]:
-            indeg[nx] -= 1
-            if indeg[nx] == 0:
-                heapq.heappush(ready, nx)
-    if len(order) != n_gates:
-        raise NonSequential("feedback loop: the gates cannot be ordered")
+    # each wire's producer runs before the gates that read it, and the gates
+    # that tap it before its consumer; a gate that reads its own output is a
+    # loop of one, and a control on its own input fails below
+    producer: dict[str, int] = {}
+    consumer: dict[str, int] = {}
+    readers: dict[str, list[int]] = {w.name: [] for w in c.wires}
+    for gi, g in enumerate(c.gates):
+        for w, role in zip(g.wires, g.gate.role_index):   # IN 0, OUT 1, CTRL 2, SYM 3
+            if role == 1:
+                producer[w] = gi
+            else:
+                readers[w].append(gi)
+                if role == 0:
+                    consumer[w] = gi
+    graph = TopologicalSorter({gi: () for gi in range(len(c.gates))})
+    for w, gis in readers.items():
+        p, s = producer.get(w), consumer.get(w)
+        for t in gis:
+            if p is not None:
+                graph.add(t, p)
+            if s is not None and s != t:
+                graph.add(s, t)
+    try:
+        order = list(graph.static_order())
+    except CycleError:
+        raise NonSequential("feedback loop: the gates cannot be ordered") from None
 
     live = {w.name: i for i, w in enumerate(c.input_wires)}
     n = len(live)
