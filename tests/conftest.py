@@ -11,7 +11,7 @@ import numpy as np
 from histq import (BUILTIN, BoundaryAssignment, Circuit, GateInstance,
                    SeqDescription, SeqLine, SeqOp, Wire, evaluate, interface,
                    lower_sequential, phase_gate)
-from histq import engine
+from histq import circuit, engine
 
 POOL1 = ["H", "X", "Y", "Z", "S", "T"]
 POOL2 = ["CNOT", "CZ", "SWAP"]
@@ -116,12 +116,12 @@ def evaluate_at(low, c, q=None, **opts):
     and dropped again afterwards so later queries get the cost-chosen one."""
     cost = engine._split_cost
     engine._split_cost = lambda shifts, w, at: abs(at - low)
-    engine._PLANS.pop(c, None)
+    circuit.derived(c).plan = None
     try:
         return evaluate(c, q, **opts)
     finally:
         engine._split_cost = cost
-        engine._PLANS.pop(c, None)
+        circuit.derived(c).plan = None
 
 
 def seq_oracle(desc, in_bits, out_bits):

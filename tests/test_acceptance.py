@@ -169,8 +169,8 @@ def test_criterion_7_classical_pruning():
         ops = []
         for _ in range(rng.randint(1, 8)):
             g = rng.choice([p for p in pools
-                            if len(BUILTIN[p].qubit_slots()) <= n])
-            qs = rng.sample(names, len(BUILTIN[g].qubit_slots()))
+                            if len(BUILTIN[p].qubit_slots) <= n])
+            qs = rng.sample(names, len(BUILTIN[g].qubit_slots))
             ops.append(SeqOp(BUILTIN[g], tuple(qs)))
         # classical forward evaluation gives the unique consistent output
         vals = dict(bits)

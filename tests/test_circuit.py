@@ -111,9 +111,9 @@ def test_wires_and_gate_instances_hold_no_dict():
 
 
 def test_circuits_keep_no_table_per_wire():
-    # a circuit keeps its input and output wires, not a dict over every wire:
-    # every kept rewrite answer stays small; ends is built when asked for,
-    # once for repeated lookups, and only the last circuit asked keeps it
+    # a circuit holds no dict over every wire, so every kept rewrite answer
+    # stays small: ends is built when asked for, once for repeated lookups,
+    # and kept in the bounded table of circuit.derived, not on the circuit
     c = parse_circuit("version 1\nmode seq\nqubit a in=0\nqubit b\n"
                       "apply H a\napply CNOT a b\napply H a\n")
     d = parse_circuit("version 1\nmode seq\nqubit a\napply H a\n")
@@ -439,7 +439,7 @@ _SEQ_BUILTINS = sorted(name for name, d in BUILTIN.items() if d.is_sequential)
 # the gates that relabel a line's wire (X, Y, SWAP) and those that read a
 # relabelled wire (controls) come up twice as often
 _DRAWN = _SEQ_BUILTINS + ["X", "Y", "SWAP", "CNOT", "TOFFOLI"]
-_ONE_LINE = [name for name in _SEQ_BUILTINS if len(BUILTIN[name].qubit_slots()) == 1]
+_ONE_LINE = [name for name in _SEQ_BUILTINS if len(BUILTIN[name].qubit_slots) == 1]
 
 
 def oracle_program(rng, clash):
@@ -462,8 +462,8 @@ def oracle_program(rng, clash):
                              tuple(rng.choices(names, k=k))))
             continue
         d = BUILTIN[rng.choice(_DRAWN)]
-        if len(d.qubit_slots()) <= len(names):
-            ops += [SeqOp(d, tuple(rng.sample(names, len(d.qubit_slots()))))] * rng.choice([1, 1, 1, 2, 3])
+        if len(d.qubit_slots) <= len(names):
+            ops += [SeqOp(d, tuple(rng.sample(names, len(d.qubit_slots))))] * rng.choice([1, 1, 1, 2, 3])
     if len(names) > 1 and rng.random() < 0.3:
         at = rng.randint(0, len(ops))
         ops[at:at] = [SeqOp(BUILTIN["SWAP"], tuple(rng.sample(names, 2)))

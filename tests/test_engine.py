@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
                    free_output_ends, gate_factor, lower_sequential,
                    matrix_gate, memory_probe, output_distribution, parse_circuit,
                    phase_gate, resolve_boundary)
-from histq import engine
+from histq import circuit, engine, statevector
 from histq.engine import resolve_max_wires
 from histq.examples import TELEPORTATION_TEXT
 
@@ -137,7 +138,7 @@ def split_cases(draw, max_lines=5, max_ops=10, lone_lines=0):
             gate = phase_gate(draw(st.sampled_from(THETAS)), k)
         else:
             gate = BUILTIN[draw(st.sampled_from(kind))]
-            k = len(gate.qubit_slots())
+            k = len(gate.qubit_slots)
         qubits = draw(st.permutations(names))[:k]
         ops.append(SeqOp(gate, tuple(qubits)))
     lone = [f"e{i}" for i in range(draw(st.integers(min(1, lone_lines), lone_lines)))]
@@ -384,26 +385,60 @@ def test_plan_is_built_once_per_circuit(monkeypatch):
 
 
 def test_plans_are_kept_for_the_last_circuits_queried(monkeypatch):
-    # a program that keeps many evaluated circuits alive keeps only the
-    # PLANS_KEPT plans queried last; an older circuit's next query plans it
+    # one record per circuit holds its boundary, its plan and its schedule;
+    # a program that keeps many circuits alive keeps only the RECORDS_KEPT
+    # records asked last, an older circuit's next query derives all of it
     # again, and a working set within the bound is never planned twice
-    monkeypatch.setattr(engine, "PLANS_KEPT", 3)
-    monkeypatch.setattr(engine, "_PLANS", weakref.WeakKeyDictionary())
-    built = []
-    real = engine._build_plan
-    monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
+    monkeypatch.setattr(circuit, "RECORDS_KEPT", 3)
+    monkeypatch.setattr(circuit, "_DERIVED", weakref.WeakKeyDictionary())
+    built, counted, ordered = [], [], []
+    for module, name, log in ((engine, "_build_plan", built), (circuit, "_boundary", counted),
+                              (statevector, "sequential_order", ordered)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda c, real=real, log=log: log.append(c) or real(c))
     cs = [parse_circuit(TELEPORTATION_TEXT) for _ in range(4)]
     q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
-    values = [evaluate(c, q).value for c in cs[:3]]
+    values = [(evaluate(c, q).value, amplitude_canonical(c, q)) for c in cs[:3]]
+    rec = circuit.derived(cs[0])
+    assert (rec.ins, rec.outs) == (cs[0].input_wires, cs[0].output_wires)
+    ends = cs[0].ends                   # built when first asked for
+    assert rec.ends is ends and rec.plan is engine.prepare(cs[0])
+    assert rec.schedule is not None and not hasattr(rec, "__dict__")
     for _ in range(3):                  # cycling through three circuits
         for c, v in zip(cs[:3], values):
-            assert evaluate(c, q).value == v
-    assert built == cs[:3]
-    evaluate(cs[1], q)                  # a hit makes cs[1] the most recent
-    values.append(evaluate(cs[3], q).value)
-    assert list(engine._PLANS) == [cs[2], cs[1], cs[3]]
-    assert evaluate(cs[0], q).value == values[0]
-    assert built == cs + [cs[0]] and cs[2] not in engine._PLANS
+            assert (evaluate(c, q).value, amplitude_canonical(c, q)) == v
+    assert built == counted == ordered == cs[:3]
+    cs[1].input_wires                   # a hit makes cs[1] the most recent
+    values.append((evaluate(cs[3], q).value, amplitude_canonical(cs[3], q)))
+    assert list(circuit._DERIVED) == [cs[2], cs[1], cs[3]]
+    assert (evaluate(cs[0], q).value, amplitude_canonical(cs[0], q)) == values[0]
+    assert built == counted == ordered == cs + [cs[0]]
+    assert cs[2] not in circuit._DERIVED
+
+
+def test_a_record_dies_with_its_circuit(monkeypatch):
+    monkeypatch.setattr(circuit, "_DERIVED", weakref.WeakKeyDictionary())
+    c = parse_circuit(TELEPORTATION_TEXT)
+    q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
+    evaluate(c, q), amplitude_canonical(c, q), c.ends
+    assert len(circuit._DERIVED) == 1
+    del c
+    gc.collect()
+    assert len(circuit._DERIVED) == 0
+
+
+def test_cycling_queries_count_each_boundary_once(monkeypatch):
+    # the boundary of a circuit queried in turn with others is counted once,
+    # not again on every query that follows a query on another circuit
+    counted = []
+    real = circuit._boundary
+    monkeypatch.setattr(circuit, "_boundary", lambda c: counted.append(c) or real(c))
+    cs = [parse_circuit(TELEPORTATION_TEXT) for _ in range(3)]
+    q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
+    for _ in range(4):
+        for c in cs:
+            evaluate(c, q)
+    assert counted == cs
 
 
 def test_transition_probability():

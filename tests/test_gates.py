@@ -90,12 +90,12 @@ def test_structural_key_distinguishes():
 
 
 def test_qubit_slots_pairing():
-    slots = BUILTIN["CNOT"].qubit_slots()
+    slots = BUILTIN["CNOT"].qubit_slots
     assert slots == (("ctrl", 0), ("pair", 1, 2))
-    assert BUILTIN["CNOT"].qubit_slots() is slots    # derived once per definition
-    slots = BUILTIN["SWAP"].qubit_slots()
+    assert BUILTIN["CNOT"].qubit_slots is slots    # derived once per definition
+    slots = BUILTIN["SWAP"].qubit_slots
     assert slots == (("pair", 0, 2), ("pair", 1, 3))
-    assert BUILTIN["XOR3"].qubit_slots() == (("sym", 0), ("sym", 1), ("sym", 2))
+    assert BUILTIN["XOR3"].qubit_slots == (("sym", 0), ("sym", 1), ("sym", 2))
 
 
 def test_check_unitary():

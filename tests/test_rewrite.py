@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateDef, GateInstance,
-                   InterfaceMismatch,
+                   InterfaceMismatch, MaxWiresExceeded,
                    SeqDescription, SeqLine, SeqOp, Wire, apply_passes, canonicalize,
                    classify_wires, compute_constants, drop_dead_controlled_gates,
                    equivalent, interface, lower_sequential, matrix_gate, parse_circuit,
                    phase_gate, propagate_constants, short_xor_constant, validate)
+from histq import circuit, engine
 from histq.examples import TELEPORTATION_TEXT
 from histq.parser import emit_circuit
 
@@ -448,6 +449,34 @@ def test_default_rewrite_of_seq_files_is_pinned():
         digest.update(emit_circuit(out).encode() + b"\0")
     assert clashes
     assert digest.hexdigest() == PINNED_SEQ_REWRITE_DIGEST
+
+
+def test_default_passes_count_each_boundary_once(monkeypatch):
+    # a rewrite step asks of its parent and of each candidate child in turn;
+    # the parent's boundary is counted once, not again for every candidate
+    counted = []                        # keeps each circuit, so ids stay unique
+    real = circuit._boundary
+    monkeypatch.setattr(circuit, "_boundary", lambda c: counted.append(c) or real(c))
+    rng = random.Random(20261024)
+    for i in range(16):
+        c = parse_circuit(diagonal_seq_text(rng)) if i % 2 else random_circuit(rng, 6, 60)
+        apply_passes(c, list(DEFAULT_PASSES))
+    assert len(counted) > 100 and len({id(c) for c in counted}) == len(counted)
+
+
+def test_equivalent_guards_before_its_first_query(monkeypatch):
+    # 40 H gates on one line: w = 39 plus 2 free ends, so 4 queries of 2^39
+    # histories each; the guard counts w plus the pattern bits and trips
+    monkeypatch.delenv("HISTQ_MAX_WIRES", raising=False)
+    c = parse_circuit("version 1\nmode seq\nqubit a\n" + "apply H a\n" * 40)
+    assert len(classify_wires(c)[0]) == 39 and interface(c) == (("a0",), ("a40",))
+
+    def refuse(*a, **kw):
+        raise AssertionError("equivalent queried past the guard")
+
+    monkeypatch.setattr(engine, "evaluate", refuse)
+    with pytest.raises(MaxWiresExceeded, match="39 internal wires and 2 pattern bits"):
+        equivalent(c, c)
 
 
 def test_equivalent_is_positional():
