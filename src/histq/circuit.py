@@ -13,10 +13,11 @@ gate legs.  External wire values come from the boundary; internal wires take
 both values, one assignment per history.
 
 ``_boundary`` is the one home of this rule: a count of each wire's legs by
-role.  The input and output wires it implies, and ``Circuit.ends``, the
-flags per wire name, are kept for the last circuit asked only.  Pinned bits
-stay on the ``Wire``, and ``interface`` names the unpinned boundary ends,
-the ones a query binds.
+role.  What the netlist alone fixes (those wires, ``Circuit.ends``, the
+history-sum plan and the dense schedule) is derived once per circuit into
+one table of ``Derived`` records, kept for the last ``RECORDS_KEPT``
+circuits asked.  Pinned bits stay on the ``Wire``, and ``interface`` names
+the unpinned boundary ends, the ones a query binds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -108,9 +108,36 @@ class WireEnds:
 
 _ENDS = {(i, o): WireEnds(i, o) for i in (False, True) for o in (False, True)}
 
-# (weak circuit, input wires, output wires, ends or None until asked for) of
-# the last circuit asked: a circuit kept alive holds no table
-_last = (lambda: None, (), (), None)
+
+@dataclass(slots=True, eq=False)
+class Derived:
+    """What one circuit's netlist fixes, each part made when first asked
+    for.  It holds no reference to its circuit, so it dies with it."""
+    ins: tuple[Wire, ...]
+    outs: tuple[Wire, ...]
+    ends: Mapping[str, WireEnds] | None = None
+    plan: object = None                 # engine.prepare
+    schedule: object = None             # statevector.sequential_order
+
+
+_DERIVED = weakref.WeakKeyDictionary()   # Circuit -> Derived, least recently asked first
+# A program may keep thousands of circuits alive (the rewrite benchmark keeps
+# every answer); only the records of the circuits asked last stay.  The
+# benchmark's working sets are 32 (wide-sum) and 28 (many-queries) circuits.
+RECORDS_KEPT = 64
+
+
+def derived(c: Circuit) -> Derived:
+    """``c``'s record, made on its first call and kept while ``c`` lives
+    and is among the last ``RECORDS_KEPT`` circuits asked; each call makes
+    it the most recently asked."""
+    rec = _DERIVED.pop(c, None)
+    if rec is None:
+        if len(_DERIVED) >= RECORDS_KEPT:
+            del _DERIVED[next(iter(_DERIVED))]  # the least recently asked
+        rec = Derived(*_boundary(c))
+    _DERIVED[c] = rec
+    return rec
 
 
 class Circuit:
@@ -137,32 +164,30 @@ class Circuit:
                        self.gates if gates is None else gates,
                        self.norm_shift if norm_shift is None else norm_shift)
 
-    @cached_property
+    @property
     def total_norm_exponent(self) -> int:
         return self.norm_shift + sum(g.gate.norm_exponent for g in self.gates)
 
     @property
     def input_wires(self) -> tuple[Wire, ...]:
         """Wires with a boundary begin end, declaration order."""
-        return _boundary(self)[1]
+        return derived(self).ins
 
     @property
     def output_wires(self) -> tuple[Wire, ...]:
-        return _boundary(self)[2]
+        return derived(self).outs
 
     @property
     def ends(self) -> Mapping[str, WireEnds]:
         """Boundary flags per wire name, read-only, built when first asked
-        for and kept with the input and output wires."""
-        global _last
-        ref, ins, outs, ends = _boundary(self)
-        if ends is None:
-            begin = {w.name for w in ins}
-            end = {w.name for w in outs}
-            ends = MappingProxyType({w.name: _ENDS[w.name in begin, w.name in end]
-                                     for w in self.wires})
-            _last = ref, ins, outs, ends
-        return ends
+        for and kept in the circuit's ``Derived`` record."""
+        rec = derived(self)
+        if rec.ends is None:
+            begin = {w.name for w in rec.ins}
+            end = {w.name for w in rec.outs}
+            rec.ends = MappingProxyType({w.name: _ENDS[w.name in begin, w.name in end]
+                                         for w in self.wires})
+        return rec.ends
 
     def structural_key(self):
         return (tuple((w.name, w.in_bound, w.in_value, w.out_bound, w.out_value)
@@ -171,17 +196,12 @@ class Circuit:
                 self.norm_shift)
 
 
-def _boundary(c: Circuit) -> tuple:
-    """``c``'s ``_last`` entry, read once, so a caller never gets another
-    circuit's boundary; counted again when the last circuit asked was
-    another.  A wire's begin end is at the boundary when declared or when it
-    has no output and no symmetric leg; without an output leg or a declared
-    begin, one symmetric leg fills it.  Its end end is at the boundary when
-    declared or when it has no input leg and no symmetric leg remains."""
-    global _last
-    entry = _last
-    if entry[0]() is c:
-        return entry
+def _boundary(c: Circuit) -> tuple[tuple[Wire, ...], tuple[Wire, ...]]:
+    """``c``'s input and output wires.  A wire's begin end is at the
+    boundary when declared or when it has no output and no symmetric leg;
+    without an output leg or a declared begin, one symmetric leg fills it.
+    Its end end is at the boundary when declared or when it has no input
+    leg and no symmetric leg remains."""
     legs = {w.name: [0, 0, 0, 0] for w in c.wires}   # IN, OUT, CTRL, SYM (GateDef.role_index)
     for g in c.gates:
         for wname, role in zip(g.wires, g.gate.role_index):
@@ -195,8 +215,7 @@ def _boundary(c: Circuit) -> tuple:
             n_sym -= 1
         if w.out_bound or not (n_in or n_sym):
             outs.append(w)
-    entry = _last = (weakref.ref(c), tuple(ins), tuple(outs), None)
-    return entry
+    return tuple(ins), tuple(outs)
 
 
 def classify_wires(c: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -363,7 +382,7 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     if not any(q[:i] in made for q in made for i in range(len(q.rstrip("0123456789")), len(q))):
         return {}
     for op in desc.ops:
-        for slot, q in zip(op.gate.qubit_slots(), op.qubits):
+        for slot, q in zip(op.gate.qubit_slots, op.qubits):
             if slot[0] == "pair" and q in made:     # lowering refuses an unknown line
                 made[q] += 1
     counts = Counter(f"{q}{k}" for q, n in made.items() for k in range(n))
@@ -440,7 +459,7 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
         for q in qs:
             if q not in made:
                 raise ValidationError(f"gate {g.name} names unknown line {q}")
-        slots = g.qubit_slots()
+        slots = g.qubit_slots
         if len(slots) != len(qs):
             raise ValidationError(f"gate {g.name} takes {len(slots)} qubits, got {len(qs)}")
         if g.cuts_line and len(qs) > 1 and len(set(qs)) < len(qs):

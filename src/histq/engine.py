@@ -39,23 +39,22 @@ What the circuit alone fixes — the sorted internal wires, each gate's entry
 table and leg reads, and the split with the gates grouped by stage — is one
 plan, built on the circuit's first query and shared by every later
 ``evaluate``, so ``output_distribution`` and ``equivalent`` build it once.
-Plans are kept for the last ``PLANS_KEPT`` circuits queried.
-The wire guard runs on every query; ``wire_guard`` is the one home of that
-check, for ``output_distribution`` and the dense engine too.
+It is kept in the circuit's ``circuit.derived`` record.  The wire guard runs
+on every query; ``wire_guard`` is the one home of that check, for
+``output_distribution``, ``equivalent`` and the dense engine too.
 """
 
 from __future__ import annotations
 
 import os
 import tracemalloc
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product as _bitproduct
 
 import numpy as np
 
-from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires,
+from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires, derived,
                       interface, resolve_boundary)
 from .errors import MaxWiresExceeded, ValidationError
 
@@ -189,16 +188,6 @@ def _build_plan(c: Circuit) -> _Prepared:
                      tuple(low_only), tuple(high_only), tuple(cross), tuple(reads))
 
 
-_PLANS = weakref.WeakKeyDictionary()   # Circuit -> _Prepared, least recently used first
-# A plan is about as large as its circuit, so a program that keeps many
-# evaluated circuits alive (the rewrite benchmark keeps every answer it
-# checked, thousands of them) would hold a plan for each.  Only the plans of
-# the circuits queried last stay.  The working sets the benchmark cycles
-# through are 32 circuits (wide-sum) and 28 (many-queries); a CLI call
-# queries one circuit and ``equivalent`` two, so none of them is replanned.
-PLANS_KEPT = 64
-
-
 def wire_guard(n: int, what: str, max_wires: int | None, *,
                hard: int = HARD_MAX_WIRES, unit: str = "histories") -> None:
     """Raise MaxWiresExceeded when ``n`` (``what``, spanning 2^n ``unit``)
@@ -214,15 +203,10 @@ def wire_guard(n: int, what: str, max_wires: int | None, *,
 
 
 def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
-    """The circuit's plan, built on its first call and kept while the
-    circuit lives and is among the last ``PLANS_KEPT`` queried; the wire
-    guard runs on every call."""
-    prep = _PLANS.pop(c, None)
-    if prep is None:
-        if len(_PLANS) >= PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]      # the least recently queried
-        prep = _build_plan(c)
-    _PLANS[c] = prep                            # now the most recently queried
+    """The circuit's plan, built on its first call and kept in its
+    ``derived`` record; the wire guard runs on every call."""
+    rec = derived(c)
+    prep = rec.plan = rec.plan or _build_plan(c)
     w = len(prep.internal)
     wire_guard(w, f"{w} internal wires", max_wires)
     return prep

@@ -119,7 +119,7 @@ class GateDef:
         symmetric leg per qubit, in argument order.  None for any other gate.
         Caching it on the built-in keeps that phase definition alive."""
         theta = _DIAGONAL_THETA.get(self.builtin_name)
-        return None if theta is None else phase_gate(theta, len(self._qubit_slots))
+        return None if theta is None else phase_gate(theta, len(self.qubit_slots))
 
     @cached_property
     def flip(self) -> tuple[bool, tuple[GateDef, ...]] | None:
@@ -165,16 +165,13 @@ class GateDef:
         """Each leg's role as its position in ``Role``: IN 0, OUT 1, CTRL 2, SYM 3."""
         return tuple(_ROLE_INDEX[r] for r in self.legs)
 
+    @cached_property
     def qubit_slots(self) -> tuple[tuple, ...]:
         """How ``apply`` binds qubit lines to legs, one slot per qubit argument.
 
         Returns ("ctrl", leg) / ("pair", in_leg, out_leg) / ("sym", leg) slots,
         in argument order.  The n-th input leg pairs with the n-th output leg.
         """
-        return self._qubit_slots
-
-    @cached_property
-    def _qubit_slots(self) -> tuple[tuple, ...]:
         outs = self.out_legs
         slots = []
         n_in = 0
@@ -193,12 +190,12 @@ class GateDef:
         """Some qubit argument pairs an input leg with an output leg, so the
         gate maps that line: lowering ends the line's segment here unless
         the gate only relabels basis states (``tap``, ``flip``, SWAP)."""
-        return any(s[0] == "pair" for s in self._qubit_slots)
+        return any(s[0] == "pair" for s in self.qubit_slots)
 
     @cached_property
     def is_sequential(self) -> bool:
         """``apply`` can bind it: one slot per qubit, none of them symmetric."""
-        return bool(self._qubit_slots) and all(s[0] != "sym" for s in self._qubit_slots)
+        return bool(self.qubit_slots) and all(s[0] != "sym" for s in self.qubit_slots)
 
     def blocks(self) -> np.ndarray:
         """The entries as one matrix per setting of the other legs, shape

@@ -230,8 +230,8 @@ def parse_circuit(text: str) -> Circuit:
             if not g.is_sequential:
                 raise ParseError(lineno, f"gate {g.name} has no sequential form")
             qs = tuple(toks[2:])
-            if len(qs) != len(g.qubit_slots()):
-                raise ParseError(lineno, f"gate {g.name} takes {len(g.qubit_slots())} qubits, "
+            if len(qs) != len(g.qubit_slots):
+                raise ParseError(lineno, f"gate {g.name} takes {len(g.qubit_slots)} qubits, "
                                          f"got {len(qs)}")
             if not declared.issuperset(qs):
                 for q in qs:

@@ -437,7 +437,8 @@ def equivalent(a: Circuit, b: Circuit, *,
     from ``rng`` (default: seeded with 0).  Returns (largest deviation seen
     at most ``EQUIV_TOL``, that deviation), or (False, inf) at the first
     non-finite deviation.  Raises InterfaceMismatch when the end counts
-    differ — there is nothing meaningful to compare then.
+    differ — there is nothing meaningful to compare then.  The wire guard
+    covers each circuit's w plus the pattern bits (at most eight) first.
     """
     ins_a, outs_a = interface(a)
     ins_b, outs_b = interface(b)
@@ -445,6 +446,9 @@ def equivalent(a: Circuit, b: Circuit, *,
         raise InterfaceMismatch(
             f"free ends differ: {(ins_a, outs_a)} vs {(ins_b, outs_b)}")
     nbits = len(ins_a) + len(outs_a)
+    bits = min(nbits, 8)
+    for w in (len(classify_wires(c)[0]) for c in (a, b)):
+        engine.wire_guard(w + bits, f"{w} internal wires and {bits} pattern bits", None)
     if nbits <= 8:
         cases = range(1 << nbits)
     else:

@@ -22,19 +22,19 @@ that leg's axis.  Listed entries are used throughout; the accumulated
 normalization exponent is applied once, after the requested output component
 is read.
 
-The schedule depends on the circuit alone, so it is derived once per circuit
-and kept while the circuit lives; a circuit with none raises on every query.
+The schedule depends on the circuit alone, so it is kept in the circuit's
+``circuit.derived`` record; a circuit with none raises on every query.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .circuit import Amplitude, BoundaryAssignment, Circuit, end_claims, resolve_boundary
+from .circuit import (Amplitude, BoundaryAssignment, Circuit, derived, end_claims,
+                      resolve_boundary)
 from .engine import HARD_MAX_WIRES, wire_guard
 from .errors import NonSequential
 from .gates import Role
@@ -106,7 +106,7 @@ def sequential_order(c: Circuit) -> SeqPlan:
         out = list(range(n))
         if d.is_matrix_style:
             labels = [live[w] if role is Role.CTRL else -1 for w, role in zip(g.wires, d.legs)]
-            for kind, *legs in d.qubit_slots():
+            for kind, *legs in d.qubit_slots:
                 if kind == "pair":
                     in_leg, out_leg = legs
                     p = live.pop(g.wires[in_leg])
@@ -124,9 +124,6 @@ def sequential_order(c: Circuit) -> SeqPlan:
     return SeqPlan(tuple(steps), out_axes)
 
 
-_PLANS = weakref.WeakKeyDictionary()   # Circuit -> SeqPlan
-
-
 def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
                         max_wires: int | None = None) -> complex:
     """<out|circuit|in> by dense simulation, normalization applied at the end.
@@ -138,9 +135,8 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
     assignment = resolve_boundary(c, boundary)
     if assignment is None:
         return 0j
-    plan = _PLANS.get(c)
-    if plan is None:
-        plan = _PLANS[c] = sequential_order(c)
+    rec = derived(c)
+    plan = rec.schedule = rec.schedule or sequential_order(c)
     axes = list(range(n))
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi[tuple(assignment[w.name] for w in c.input_wires)] = 1.0
