@@ -33,6 +33,8 @@ def _load(path: str) -> Circuit:
             text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot read {path}: not UTF-8 at byte {e.start}") from None
     c = parse_circuit(text)
     diags = validate(c)
     if diags:

@@ -54,6 +54,9 @@ _DIGITS = re.compile(r"[0-9]+$")
 _FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|infinity|nan)$",
                     re.IGNORECASE)
 _PI_FORM = re.compile(r"(-?)pi(?:/([0-9]+))?$")
+# each mode's declaration noun, gate verb and declaration flags
+_MODES = {"net": ("wire", "gate", "[in[=b]] [out[=b]]"),
+          "seq": ("qubit", "apply", "[in=b] [out=b]")}
 
 
 def parse_theta(tok: str, lineno: int) -> float:
@@ -108,17 +111,11 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(got[0] if got else 2, "expected 'mode net' or 'mode seq'")
     mode = got[1][1]
 
+    noun, verb, flags = _MODES[mode]   # the other mode's are refused with a hint
+    other = "seq" if mode == "net" else "net"
+
     custom: dict[str, GateDef] = {}
     norm_shift = 0
-
-    def lookup_gate(name: str, lineno: int) -> GateDef:
-        if name in custom:
-            return custom[name]
-        if name == "PHASE":
-            raise ParseError(lineno, "use the 'phase <theta> ...' directive for phase gates")
-        if name in BUILTIN:
-            return BUILTIN[name]
-        raise ParseError(lineno, f"unknown gate {name}")
 
     def parse_matrix(toks: list[str], lineno: int):
         if len(toks) != 3:
@@ -187,59 +184,54 @@ def parse_circuit(text: str) -> Circuit:
                 norm_shift += int(toks[1])
             except ValueError:  # more digits than int() converts
                 raise ParseError(lineno, f"norm exponent has {len(toks[1])} digits") from None
-        elif head == "wire":
-            if mode != "net":
-                raise ParseError(lineno, "'wire' is a net-mode directive")
+        elif head in ("wire", "qubit"):
+            if head != noun:
+                raise ParseError(lineno, f"'{head}' is a {other}-mode directive")
             if len(toks) < 2 or not _NAME.match(toks[1]):
-                raise ParseError(lineno, "usage: wire <name> [in[=b]] [out[=b]]")
+                raise ParseError(lineno, f"usage: {noun} <name> {flags}")
             if toks[1] in declared:
-                raise ParseError(lineno, f"wire {toks[1]} declared twice")
+                raise ParseError(lineno, f"{noun} {toks[1]} declared twice")
             declared.add(toks[1])
             in_b, in_v, out_b, out_v = parse_flags(toks[2:], lineno)
-            wires.append(Wire(toks[1], in_b, in_v, out_b, out_v))
-        elif head == "qubit":
-            if mode != "seq":
-                raise ParseError(lineno, "'qubit' is a seq-mode directive")
-            if len(toks) < 2 or not _NAME.match(toks[1]):
-                raise ParseError(lineno, "usage: qubit <name> [in=b] [out=b]")
-            if toks[1] in declared:
-                raise ParseError(lineno, f"qubit {toks[1]} declared twice")
-            declared.add(toks[1])
-            in_b, in_v, out_b, out_v = parse_flags(toks[2:], lineno)
-            seq_lines.append(SeqLine(toks[1], in_v, out_v))
-        elif head == "gate":
-            if mode != "net":
-                raise ParseError(lineno, "'gate' is a net-mode directive ('apply' in seq mode)")
+            if mode == "net":
+                wires.append(Wire(toks[1], in_b, in_v, out_b, out_v))
+            else:
+                seq_lines.append(SeqLine(toks[1], in_v, out_v))
+        elif head in ("gate", "apply"):
+            if head != verb:
+                raise ParseError(lineno, f"'{head}' is a {other}-mode directive "
+                                         f"('{verb}' in {mode} mode)")
             if len(toks) < 2:
-                raise ParseError(lineno, "usage: gate <NAME> <wire>...")
-            g = lookup_gate(toks[1], lineno)
-            refs = [_wire_ref(t, lineno) for t in toks[2:]]
-            if len(refs) != g.n_legs:
-                raise ParseError(lineno, f"gate {g.name} has {g.n_legs} legs, got {len(refs)}")
-            for name, _ in refs:
-                if name not in declared:
-                    raise ParseError(lineno, f"undeclared wire {name}")
-            gates.append(GateInstance(g, tuple(n for n, _ in refs),
-                                      tuple(neg for _, neg in refs)))
-        elif head == "apply":
-            if mode != "seq":
-                raise ParseError(lineno, "'apply' is a seq-mode directive ('gate' in net mode)")
-            if len(toks) < 2:
-                raise ParseError(lineno, "usage: apply <NAME> <qubit>...")
-            g = lookup_gate(toks[1], lineno)
-            if not g.is_sequential:
-                raise ParseError(lineno, f"gate {g.name} has no sequential form")
-            qs = tuple(toks[2:])
-            if len(qs) != len(g.qubit_slots):
-                raise ParseError(lineno, f"gate {g.name} takes {len(g.qubit_slots)} qubits, "
-                                         f"got {len(qs)}")
-            if not declared.issuperset(qs):
-                for q in qs:
-                    if q.startswith("~"):
-                        raise ParseError(lineno, "complemented reads are a net-mode notation")
-                    if q not in declared:
-                        raise ParseError(lineno, f"undeclared qubit {q}")
-            seq_ops.append(SeqOp(g, qs))
+                raise ParseError(lineno, f"usage: {verb} <NAME> <{noun}>...")
+            name = toks[1]
+            if name == "PHASE":
+                raise ParseError(lineno, "use the 'phase <theta> ...' directive for phase gates")
+            g = custom.get(name) or BUILTIN.get(name)   # no custom gate takes a built-in name
+            if g is None:
+                raise ParseError(lineno, f"unknown gate {name}")
+            if mode == "net":
+                refs = [_wire_ref(t, lineno) for t in toks[2:]]
+                if len(refs) != g.n_legs:
+                    raise ParseError(lineno, f"gate {name} has {g.n_legs} legs, got {len(refs)}")
+                for ref, _ in refs:
+                    if ref not in declared:
+                        raise ParseError(lineno, f"undeclared wire {ref}")
+                gates.append(GateInstance(g, tuple(n for n, _ in refs),
+                                          tuple(neg for _, neg in refs)))
+            else:
+                if not g.is_sequential:
+                    raise ParseError(lineno, f"gate {name} has no sequential form")
+                qs = tuple(toks[2:])
+                if len(qs) != len(g.qubit_slots):
+                    raise ParseError(lineno, f"gate {name} takes {len(g.qubit_slots)} qubits, "
+                                             f"got {len(qs)}")
+                if not declared.issuperset(qs):
+                    for q in qs:
+                        if q.startswith("~"):
+                            raise ParseError(lineno, "complemented reads are a net-mode notation")
+                        if q not in declared:
+                            raise ParseError(lineno, f"undeclared qubit {q}")
+                seq_ops.append(SeqOp(g, qs))
         elif head == "phase":
             if len(toks) < 2:
                 raise ParseError(lineno, "usage: phase <theta> [<wire>...]")
@@ -250,7 +242,7 @@ def parse_circuit(text: str) -> Circuit:
             g = phase_gate(theta, len(refs))
             for name, neg in refs:
                 if name not in declared:
-                    raise ParseError(lineno, f"undeclared {'wire' if mode == 'net' else 'qubit'} {name}")
+                    raise ParseError(lineno, f"undeclared {noun} {name}")
             if mode == "net":
                 gates.append(GateInstance(g, tuple(n for n, _ in refs),
                                           tuple(neg for _, neg in refs)))
@@ -283,25 +275,17 @@ def _format_theta(theta: float) -> str:
     return repr(theta)
 
 
-def _is_file_matrix(d: GateDef) -> bool:
-    """Whether a ``matrix`` block writes ``d`` so that the parser reads it
-    back: legs (outputs..., inputs...) on 1..4 qubits, a name free for a
-    custom gate, and a unitary matrix."""
-    k = d.n_legs // 2
-    return (1 <= k <= 4 and d.legs == (Role.OUT,) * k + (Role.IN,) * k
-            and bool(_NAME.fullmatch(d.name)) and d.name not in BUILTIN and d.name != "PHASE"
-            and d.fault is None)
-
-
 def emit_circuit(c: Circuit) -> str:
     """Write a circuit back out as a net-mode file.
 
     Gate-level normalization exponents that the directives cannot carry (a
     rewritten Hadamard keeps its 1/sqrt(2) as ``norm_exponent=1`` on a phase
     gate) are folded into one ``norm`` line; the total exponent, and with it
-    every report, is unchanged.  A wire name the parser would refuse, a
-    gate that no line writes so that ``parse_circuit`` reads it back
-    exactly, or a negative folded ``norm``, raises ``ValueError``.
+    every report, is unchanged.  A built-in is written by ``gate``, what
+    ``phase_gate`` builds by ``phase``, and legs (outputs..., inputs...) by
+    one ``matrix`` block per name.  Any other gate, two distinct gates of
+    one name, or text that ``parse_circuit`` refuses or reads with other
+    wire names raises ``ValueError``.
     """
     out = ["version 1", "mode net"]
     norm = c.norm_shift
@@ -311,8 +295,6 @@ def emit_circuit(c: Circuit) -> str:
     ins = {w.name for w in c.input_wires}
     outs = {w.name for w in c.output_wires}
     for w in c.wires:
-        if not _NAME.fullmatch(w.name):
-            raise ValueError(f"wire name {w.name!r} has no file representation")
         parts = [f"wire {w.name}"]
         if w.name in ins:
             parts.append("in" if w.in_value is None else f"in={w.in_value}")
@@ -320,21 +302,18 @@ def emit_circuit(c: Circuit) -> str:
             parts.append("out" if w.out_value is None else f"out={w.out_value}")
         body.append(" ".join(parts))
 
-    def ref(name: str, neg: bool) -> str:
-        return ("~" if neg else "") + name
-
     for g in c.gates:
-        refs = " ".join(ref(n, neg) for n, neg in zip(g.wires, g.negs))
+        refs = " ".join(("~" if neg else "") + n for n, neg in zip(g.wires, g.negs))
         d = g.gate
+        k = d.n_legs // 2
         if d.builtin_name:
             body.append(f"gate {d.name} {refs}".rstrip())
-        elif d.is_phase and d.n_legs <= MAX_PHASE_LEGS:
+        elif d.is_phase:
             norm += d.norm_exponent
             body.append(f"phase {_format_theta(d.param)} {refs}".rstrip())
-        elif _is_file_matrix(d):
+        elif d.legs == (Role.OUT,) * k + (Role.IN,) * k:
             if d.name not in emitted_custom:
                 emitted_custom[d.name] = d
-                k = d.n_legs // 2
                 out.append(f"matrix {d.name} {k}")
                 for row in d.matrix():
                     out.append(" ".join(format_complex(z) for z in row))
@@ -345,8 +324,17 @@ def emit_circuit(c: Circuit) -> str:
         else:
             raise ValueError(f"gate {d.name} has no file representation")
 
-    if norm < 0:
-        raise ValueError(f"norm {norm} has no file representation")
     if norm:
         body.insert(0, f"norm {norm}")
-    return "\n".join(out + body) + "\n"
+    text = "\n".join(out + body) + "\n"
+    try:
+        back = parse_circuit(text)
+    except ParseError as e:
+        raise ValueError(f"the parser refuses {text.splitlines()[e.line - 1]!r} ({e.message}): "
+                         "no file representation") from None
+    # a wire name the parser splits, or cuts at a '#', may still parse
+    read = {w.name for w in back.wires}
+    lost = next((w.name for w in c.wires if w.name not in read), None)
+    if lost is not None:
+        raise ValueError(f"the parser does not read wire {lost!r} back: no file representation")
+    return text

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -380,3 +381,50 @@ def test_rewrite_emit_stdout_splits_streams(teleport, capsys):
 
 def test_rewrite_unknown_pass(teleport, capsys):
     assert cli.main(["rewrite", teleport, "--passes", "zap"]) == 2
+
+
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.circuit"
+    text = TELEPORTATION_TEXT.encode() + b"# caf\xe9\n"
+    p.write_bytes(text)
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {p}: not UTF-8 at byte {len(text) - 2}\n"
+
+
+def mutated_bytes(rng, data: bytes) -> bytes:
+    """``data`` with one to three bytes replaced, inserted or deleted."""
+    b = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(b))
+        op = rng.randrange(3)
+        if op == 0:
+            b[i] = rng.randrange(256)
+        elif op == 1:
+            b.insert(i, rng.choice(b"01~ #\n-.:ainoqx" + bytes([0xff, 0xc3])))
+        else:
+            del b[i]
+    return bytes(b)
+
+
+def test_byte_mutated_examples_never_crash(tmp_path, capsys):
+    # every command either answers or exits with a usage, schedule or guard
+    # code: never a traceback, and never 1, which means the engines disagree
+    rng = random.Random(20261020)
+    path = tmp_path / "mutated.circuit"
+    for n in range(150):
+        data = mutated_bytes(rng, sorted(EXAMPLES.values())[n % len(EXAMPLES)].encode())
+        path.write_bytes(data)
+        try:
+            c = histq.parse_circuit(data.decode())
+            ins, outs = len(c.input_wires), len(c.output_wires)
+        except (UnicodeDecodeError, histq.CircuitError):
+            ins, outs = 1, 1
+        in_bits = "".join(rng.choice("01-") for _ in range(ins))
+        out_bits = "".join(rng.choice("01-") for _ in range(outs))
+        for argv in (["run", str(path), "--in", in_bits, "--out", out_bits],
+                     ["count", str(path)],
+                     ["dist", str(path), "--in", in_bits],
+                     ["compare", str(path), "--in", in_bits, "--out", out_bits],
+                     ["rewrite", str(path), "--emit", str(tmp_path / "out.circuit")]):
+            assert cli.main(argv) in (0, 2, 3, 4), (data, argv)
+            capsys.readouterr()

@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from histq.examples import EXAMPLES, TELEPORTATION_TEXT
 from histq.circuit import WireEnds, end_claims
 from histq.parser import parse_theta
 
-from conftest import line_queries, random_circuit, random_ops, seq_oracle
+from conftest import line_queries, random_circuit, random_netlist, random_ops, seq_oracle
 
 
 def perr(text):
@@ -283,6 +284,63 @@ def test_emit_refuses_a_gate_it_cannot_write_exactly():
         assert emit_circuit(back) == emit_circuit(c)
         assert back.total_norm_exponent == c.total_norm_exponent
         assert equivalent(c, back) == (True, 0.0)
+
+
+def test_emit_of_the_h_matrix_with_its_norm_is_refused():
+    # the listed rows are H's, unitary only with the gate's 1/sqrt(2): a
+    # matrix block drops that factor into the norm line, and the parser
+    # refuses the rows it would read
+    r = matrix_gate("R", [[1, 1], [1, -1]], norm_exponent=1, custom_leg_order=True)
+    c = Circuit((Wire("a", in_bound=True), Wire("b", out_bound=True)),
+                (GateInstance(r, ("b", "a")),))
+    assert validate(c) == []
+    with pytest.raises(ValueError, match="no file representation") as ei:
+        emit_circuit(c)
+    assert "'matrix R 1'" in str(ei.value)
+
+
+def test_emit_refuses_wire_names_that_do_not_read_back():
+    # each parses, but as another wire: split at a space, cut at a '#', or
+    # read as two declarations
+    for name in ("a ", "a#b", "a\nwire b", "a\u00a0"):
+        c = Circuit((Wire(name, in_bound=True, out_bound=True),), ())
+        with pytest.raises(ValueError, match="no file representation"):
+            emit_circuit(c)
+
+
+_LISTED = [np.array(m) for m in ([[0, 1], [1, 0]], [[1, 1], [1, -1]], [[1, 0], [0, 1j]],
+                                 [[1, 0], [1, 0]], np.eye(4)[[0, 2, 1, 3]],
+                                 np.diag([1, 1, 1, -1]), np.eye(8)[::-1])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_emit_either_refuses_or_reads_back_the_same_circuit(seed):
+    # random netlists plus custom matrix gates (unitary or not, norm exponent
+    # 0 or 1, names that may clash) and phase gates on 0..5 legs
+    rng = random.Random(seed)
+    c = random_netlist(rng)
+    names = [w.name for w in c.wires]
+    extra = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            listed = rng.choice(_LISTED)
+            d = matrix_gate(rng.choice(["R", "R", "V"]), listed, norm_exponent=rng.randint(0, 1),
+                            custom_leg_order=True)
+        else:
+            d = phase_gate(rng.choice([math.pi, -math.pi / 4, 0.7]), rng.randint(0, 5),
+                           norm_exponent=rng.randint(0, 1))
+        extra.append(GateInstance(d, tuple(rng.choice(names) for _ in d.legs),
+                                  tuple(rng.random() < 0.3 for _ in d.legs)))
+    c = c.replace(gates=c.gates + tuple(extra))
+    try:
+        text = emit_circuit(c)
+    except ValueError as e:
+        assert "no file representation" in str(e) or "two distinct gates" in str(e)
+        return
+    back = parse_circuit(text)
+    assert interface(back) == interface(c)
+    assert equivalent(c, back) == (True, 0.0)
 
 
 def test_comments_and_blank_lines_ignored():

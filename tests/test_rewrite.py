@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from histq import (BUILTIN, DEFAULT_PASSES, PASSES, Circuit, GateDef, GateInstance,
-                   InterfaceMismatch, MaxWiresExceeded,
+from histq import (BUILTIN, DEFAULT_PASSES, PASSES, BoundaryAssignment, Circuit, GateDef,
+                   GateInstance, InterfaceMismatch, MaxWiresExceeded,
                    SeqDescription, SeqLine, SeqOp, Wire, apply_passes, canonicalize,
                    classify_wires, compute_constants, drop_dead_controlled_gates,
-                   equivalent, interface, lower_sequential, matrix_gate, parse_circuit,
-                   phase_gate, propagate_constants, short_xor_constant, validate)
+                   equivalent, evaluate, interface, lower_sequential, matrix_gate,
+                   parse_circuit, phase_gate, propagate_constants, short_xor_constant,
+                   validate)
 from histq import circuit, engine
 from histq.examples import TELEPORTATION_TEXT
 from histq.parser import emit_circuit
@@ -89,6 +90,19 @@ def test_canonicalize_idempotent():
         c1 = canonicalize(c)
         c2 = canonicalize(c1)
         assert c2.structural_key() == c1.structural_key()
+
+
+def test_canonicalize_keeps_a_declared_end_off_mid_wire():
+    # fusing Z's two wires would put a's pinned out end in the middle of the
+    # fused wire: the pin would be lost, and pattern a=0, b=0 would read 1
+    c = Circuit((Wire("a", in_bound=True, out_value=1), Wire("b", out_bound=True)),
+                (GateInstance(BUILTIN["Z"], ("a", "b")),))
+    out = canonicalize(c)
+    assert out.structural_key() == c.structural_key()
+    for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        q = BoundaryAssignment({"a": a}, {"b": b})
+        assert evaluate(out, q).value == evaluate(c, q).value
+    assert evaluate(out, BoundaryAssignment({"a": 0}, {"b": 0})).value == 0
 
 
 def test_compute_constants_follows_forced_values():
