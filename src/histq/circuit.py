@@ -33,12 +33,14 @@ from .errors import UnboundWire, ValidationError
 from .gates import BUILTIN, GateDef
 
 
-_set = object.__setattr__   # what a frozen dataclass's own __init__ calls
-
-
 # Wire and GateInstance write their __init__ by hand rather than through a
 # generated one plus __post_init__: loading a file builds one of each per
-# gate, and setting each field once is the larger share of that.
+# gate, and setting each field once is the larger share of that.  Each field
+# is set through its slot's own setter, which skips the frozen __setattr__
+# as object.__setattr__ does, without looking the field up by name per call.
+
+def _setters(cls) -> tuple:
+    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
 
 @dataclass(frozen=True, slots=True, init=False)
 class Wire:
@@ -58,11 +60,14 @@ class Wire:
                 in_bound = True
             if out_value is not None and not out_bound:
                 out_bound = True
-        _set(self, "name", name)
-        _set(self, "in_bound", in_bound)
-        _set(self, "in_value", in_value)
-        _set(self, "out_bound", out_bound)
-        _set(self, "out_value", out_value)
+        _set_name(self, name)
+        _set_in_bound(self, in_bound)
+        _set_in_value(self, in_value)
+        _set_out_bound(self, out_bound)
+        _set_out_value(self, out_value)
+
+
+_set_name, _set_in_bound, _set_in_value, _set_out_bound, _set_out_value = _setters(Wire)
 
 
 # One shared tuple per complement pattern: most gates read no wire
@@ -90,9 +95,12 @@ class GateInstance:
             raise ValidationError("negation flags must match leg count")
         else:
             shared = _NEGS.setdefault(negs, negs)
-        _set(self, "gate", gate)
-        _set(self, "wires", wires)
-        _set(self, "negs", shared)
+        _set_gate(self, gate)
+        _set_wires(self, wires)
+        _set_negs(self, shared)
+
+
+_set_gate, _set_wires, _set_negs = _setters(GateInstance)
 
 
 @dataclass(frozen=True)
@@ -367,8 +375,9 @@ class SeqDescription:
 _RELABELS = frozenset(n for n, d in BUILTIN.items() if d.tap or d.flip) | {"SWAP"}
 
 
-def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
-    """The segment names that are not plain ``q<k>``, by (line, number).
+def _clash_names(made: dict[str, int]) -> dict[tuple[str, int], str]:
+    """The segment names that are not plain ``q<k>``, by (line, number),
+    from ``made``, the count of numbers each line used while lowering.
 
     Line q uses one number for its input wire and one for each gate that
     maps it, a gate that cuts nothing included, so every segment keeps the
@@ -376,15 +385,9 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     only when one line's name is the other's plus digits (line ``q1`` cut
     ten times and line ``q11`` both give ``q110``); each then takes
     ``q_<k>`` instead, with as many underscores as it takes to be unique.
-    Empty when no two lines can share a name; otherwise one pass over the
-    ops counts each line's numbers first."""
-    made = {ln.name: 1 for ln in desc.lines}
+    Empty when no two lines can share a name."""
     if not any(q[:i] in made for q in made for i in range(len(q.rstrip("0123456789")), len(q))):
         return {}
-    for op in desc.ops:
-        for slot, q in zip(op.gate.qubit_slots, op.qubits):
-            if slot[0] == "pair" and q in made:     # lowering refuses an unknown line
-                made[q] += 1
     counts = Counter(f"{q}{k}" for q, n in made.items() for k in range(n))
     taken = set(counts)
     alt: dict[tuple[str, int], str] = {}
@@ -399,24 +402,12 @@ def _clash_names(desc: SeqDescription) -> dict[tuple[str, int], str]:
     return alt
 
 
-def _named_on(seg: str, q: str, made: int, alt: dict[tuple[str, int], str]) -> bool:
-    """Whether ``seg`` is one of the ``made`` segment names line q gives:
-    ``q<k>``, or its ``_clash_names`` entry.  No two segments share a name,
-    so the name tells which line cut the segment."""
-    digits = seg[len(q):].lstrip("_")
-    if not (seg.startswith(q) and digits.isascii() and digits.isdecimal()):
-        return False
-    k = int(digits)
-    return k < made and alt.get((q, k), f"{q}{k}") == seg
-
-
 def lower_sequential(desc: SeqDescription) -> Circuit:
     """Cut each qubit line into wire segments at the gates that map it.
 
-    Segment k of line q is named ``q<k>`` (see ``_clash_names`` for the rare
-    clash); control and symmetric legs read the current segment without
-    cutting it.  Only gates that mix basis states cut.  The others keep the
-    line's segment and cost no wire:
+    Control and symmetric legs read the current segment without cutting it.
+    Only gates that mix basis states cut.  The others keep the line's
+    segment and cost no wire:
 
     * a diagonal built-in (Z, S, T, CZ, CCZ) changes no bit, so it lowers to
       ``GateDef.tap``, one phase gate on the current segment of each line it
@@ -429,31 +420,35 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
       (``GateDef.flip``); I lowers to nothing;
     * SWAP trades the two lines' segments and pending complements.
 
-    Each of these still uses up its lines' next segment numbers, so a
-    segment keeps the name a cut there would have given it.  At the end, a
-    line with a pending complement gets one real X, and a line that holds
+    Each gate that maps a line uses up the line's next segment number, so a
+    segment keeps the number a cut there would have given it.  At the end,
+    a line with a pending complement gets one real X, and a line that holds
     another line's uncut input wire gets one real I: with no cut between
     them, no wire order keeps both the input ends and the output ends in
-    line order.  Wires are declared per line: the chain of segments that
-    starts on it, then its output end; an output end cut on another line
-    and swapped over is renamed ``<line><k>``, k its last segment number,
-    so every end's name starts with its line.  A gate that maps a line
-    names no line twice (read as a cut, its second read would see its own
-    output); symmetric taps may repeat one.
+    line order.  An output end cut on another line and swapped over takes
+    its own line's last number, so every end belongs to its line.
+
+    The walk numbers segments; names are given once, after it: segment k of
+    line q is ``q<k>`` (see ``_clash_names`` for the rare clash).  Wires are
+    declared per line: the chain of segments that starts on it, then its
+    output end.  A gate that maps a line names no line twice (read as a
+    cut, its second read would see its own output); symmetric taps may
+    repeat one.
     """
     made: dict[str, int] = {}           # line -> segment numbers used so far
     for ln in desc.lines:
         if ln.name in made:
             raise ValidationError("duplicate qubit line")
         made[ln.name] = 1
-    alt = _clash_names(desc)
-    chains: dict[str, list[str]] = {}   # line -> the segments that start on it
-    held: dict[str, list[str]] = {}     # line -> the chain it carries now
+    segs: list[tuple[str, int]] = []    # segment id -> (line, number)
+    chains: dict[str, list[int]] = {}   # line -> the segments that start on it
+    held: dict[str, list[int]] = {}     # line -> the chain it carries now
     flipped: dict[str, bool] = {}       # line -> its segment reads complemented
     for q in made:
-        chains[q] = held[q] = [alt.get((q, 0), f"{q}0") if alt else f"{q}0"]
+        chains[q] = held[q] = [len(segs)]
+        segs.append((q, 0))
         flipped[q] = False
-    gates: list[GateInstance] = []
+    recs: list[tuple[GateDef, Sequence[int], tuple[bool, ...]]] = []   # gate, ids, negs
     for op in desc.ops:
         g, qs = op.gate, op.qubits
         for q in qs:
@@ -468,15 +463,14 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             if g.tap is not None:
                 made[qs[-1]] += 1           # a diagonal built-in's target is its last qubit
                 negs = tuple(map(flipped.__getitem__, qs))
-                gates.append(GateInstance(g.tap, tuple([held[q][-1] for q in qs]),
-                                          negs if True in negs else ()))
+                recs.append((g.tap, [held[q][-1] for q in qs], negs if True in negs else ()))
             elif g.flip is not None:
                 q = qs[0]
                 made[q] += 1
                 flips, phases = g.flip
                 for p in phases:            # Y's: one on the line, one global
-                    gates.append(GateInstance(p, (held[q][-1],) * p.n_legs,
-                                              (flipped[q],) * p.n_legs if flipped[q] else ()))
+                    recs.append((p, (held[q][-1],) * p.n_legs,
+                                 (flipped[q],) * p.n_legs if flipped[q] else ()))
                 flipped[q] ^= flips
             else:                           # SWAP
                 a, b = qs
@@ -497,39 +491,38 @@ def lower_sequential(desc: SeqDescription) -> Circuit:
             if slot[0] == "pair":
                 k = made[q]
                 made[q] = k + 1
-                seg = f"{q}{k}"
-                if alt:
-                    seg = alt.get((q, k), seg)
+                seg = len(segs)
+                segs.append((q, k))
                 line.append(seg)
                 wires[slot[2]] = seg
                 flipped[q] = False
-        gates.append(GateInstance(g, tuple(wires), tuple(negs) if negs else ()))
+        recs.append((g, wires, tuple(negs) if negs else ()))
     # the last gate on a line that needs a fix here cut nothing, so the
     # line's last number names no segment yet
-    renamed: dict[str, str] = {}
     for q, line in held.items():
-        last = line[-1]
-        end = alt.get((q, made[q] - 1), f"{q}{made[q] - 1}")
+        end = (q, made[q] - 1)
         if flipped[q] or (len(line) == 1 and line is not chains[q]):
-            line.append(end)
-            gates.append(GateInstance(BUILTIN["X" if flipped[q] else "I"], (last, end)))
-        elif len(line) > 1 and not _named_on(last, q, made[q], alt):
-            renamed[last] = end
-    if renamed:
-        gates = [g if renamed.keys().isdisjoint(g.wires) else
-                 GateInstance(g.gate, tuple(renamed.get(w, w) for w in g.wires), g.negs)
-                 for g in gates]
+            recs.append((BUILTIN["X" if flipped[q] else "I"], (line[-1], len(segs)), ()))
+            line.append(len(segs))
+            segs.append(end)
+        elif len(line) > 1 and segs[line[-1]][0] != q:
+            segs[line[-1]] = end
 
+    names = [f"{q}{k}" for q, k in segs]
+    alt = _clash_names(made)
+    if alt:
+        names = [alt.get(s, name) for s, name in zip(segs, names)]
+    name = names.__getitem__
+    gates = [GateInstance(g, tuple(map(name, ids)), negs) for g, ids, negs in recs]
     out: list[Wire] = []
     # a line both starts and ends at the boundary even if gates cut it in
     # between; a chain never cut is one wire with both flags
     for ln in desc.lines:
         first, *mid = chains[ln.name]
         if not mid:
-            out.append(Wire(first, True, ln.in_value, True, ln.out_value))
+            out.append(Wire(name(first), True, ln.in_value, True, ln.out_value))
             continue
-        out.append(Wire(first, True, ln.in_value))
-        out.extend(map(Wire, mid[:-1]))
-        last = held[ln.name][-1]
-        out.append(Wire(renamed.get(last, last), False, None, True, ln.out_value))
+        out.append(Wire(name(first), True, ln.in_value))
+        out.extend(map(Wire, map(name, mid[:-1])))
+        out.append(Wire(name(held[ln.name][-1]), False, None, True, ln.out_value))
     return Circuit(out, gates, desc.norm_shift)
