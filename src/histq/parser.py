@@ -31,7 +31,8 @@ Both modes may define custom gates; entries are RE:IM, rows are output bits::
     <2^k rows of 2^k entries>
 
 ``#`` starts a comment.  A bare ``in``/``out`` on a wire marks a boundary end
-whose bit arrives with the query rather than being pinned in the file.
+whose bit arrives with the query rather than being pinned in the file; both
+ends of a qubit line are at the boundary already, so seq mode refuses it.
 
 Numbers are ASCII: counts are digits only, and angles and entry parts are
 decimals with an optional leading ``-`` (no ``+``, no ``_``).
@@ -150,6 +151,9 @@ def parse_circuit(text: str) -> Circuit:
         in_v = out_v = None
         for t in toks:
             key, _, val = t.partition("=")
+            # both ends of a qubit line are free already: only a pinned bit says more
+            if not val and mode == "seq" and key in ("in", "out"):
+                raise ParseError(lineno, f"usage: {noun} <name> {flags}")
             if key == "in":
                 in_b = True
                 if val:
@@ -285,7 +289,7 @@ def emit_circuit(c: Circuit) -> str:
     ``phase_gate`` builds by ``phase``, and legs (outputs..., inputs...) by
     one ``matrix`` block per name.  Any other gate, two distinct gates of
     one name, or text that ``parse_circuit`` refuses or reads with other
-    wire names raises ``ValueError``.
+    wire or gate names raises ``ValueError``.
     """
     out = ["version 1", "mode net"]
     norm = c.norm_shift
@@ -332,9 +336,12 @@ def emit_circuit(c: Circuit) -> str:
     except ParseError as e:
         raise ValueError(f"the parser refuses {text.splitlines()[e.line - 1]!r} ({e.message}): "
                          "no file representation") from None
-    # a wire name the parser splits, or cuts at a '#', may still parse
-    read = {w.name for w in back.wires}
-    lost = next((w.name for w in c.wires if w.name not in read), None)
-    if lost is not None:
-        raise ValueError(f"the parser does not read wire {lost!r} back: no file representation")
+    # a wire or gate name the parser splits, or cuts at a '#', may still parse
+    for kind, wrote, got in (("wire", c.wires, back.wires),
+                             ("gate", [g.gate for g in c.gates], [g.gate for g in back.gates])):
+        read = {x.name for x in got}
+        lost = next((x.name for x in wrote if x.name not in read), None)
+        if lost is not None:
+            raise ValueError(f"the parser does not read {kind} {lost!r} back: "
+                             "no file representation")
     return text

@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from histq import (Circuit, GateDef, GateInstance, ParseError, Role, Wire, check_unitary,
-                   emit_circuit, matrix_gate, parse_circuit, phase_gate, validate)
+import itertools
+
+from histq import (BoundaryAssignment, Circuit, GateDef, GateInstance, ParseError, Role, Wire,
+                   canonicalize, check_unitary, emit_circuit, evaluate, interface, matrix_gate,
+                   parse_circuit, phase_gate, validate)
 from histq.cli import main
 from histq.examples import TELEPORTATION_TEXT
 
@@ -38,6 +41,11 @@ def two_gates_named_r():
                                         GateInstance(r2, ("b", "m")))))
 
 
+def emit_gate_named(name):
+    r = matrix_gate(name, [[0, 1], [1, 0]], custom_leg_order=True)
+    return emit_circuit(Circuit(AB, (GateInstance(r, ("b", "a")),)))
+
+
 def exit_and_stderr(capsys, *argv):
     code = main(list(argv))
     return f"exit {code}: {capsys.readouterr().err}"
@@ -56,6 +64,13 @@ REFUSALS = [
     pytest.param(lambda tmp, cap: parse_refusal("version 1\nmode net\n"
                                                 "matrix H 1\n1:0 0:0\n0:0 1:0\n"),
                  "line 3: gate name H is reserved", id="matrix-reserved-name"),
+    pytest.param(lambda tmp, cap: parse_refusal("version 1\nmode net\n"
+                                                "matrix M 1\n1:0 0:0\n0:0 1:0\n"
+                                                "matrix M 1\n1:0 0:0\n0:0 1:0\n"),
+                 "line 6: gate M defined twice", id="matrix-defined-twice"),
+    *(pytest.param(lambda tmp, cap, f=f: parse_refusal(f"version 1\nmode seq\nqubit a {f}\n"),
+                   "line 3: usage: qubit <name> [in=b] [out=b]", id=f"seq-bare-{f}")
+      for f in ("in", "out", "in out")),
     pytest.param(lambda tmp, cap: parse_refusal(NET + "gate\n"),
                  "line 5: usage: gate <NAME> <wire>...", id="bare-gate"),
     pytest.param(lambda tmp, cap: parse_refusal(NET + "apply X a\n"),
@@ -92,6 +107,10 @@ REFUSALS = [
     # emitter
     pytest.param(lambda tmp, cap: value_error(two_gates_named_r),
                  "two distinct gates both named R", id="emit-two-gates-named-r"),
+    *(pytest.param(lambda tmp, cap, n=n: value_error(emit_gate_named, n),
+                   f"the parser does not read gate {n!r} back: no file representation",
+                   id=f"emit-gate-name-{i}")
+      for i, n in enumerate(("R\xa0", "R ", "R\u2003"))),
     # command line: a path in a missing directory
     pytest.param(lambda tmp, cap: exit_and_stderr(cap, "examples", "teleport", "--out",
                                                   str(tmp / "missing" / "x")),
@@ -111,3 +130,16 @@ def test_negative_quarter_turn_emits_and_parses_back():
     text = emit_circuit(c)
     assert text.splitlines()[-1] == "phase -pi/4 a b"
     assert parse_circuit(text).gates[0].gate.param == -math.pi / 4
+
+
+def test_canonicalize_keeps_a_complemented_target_pair():
+    # CZ's target legs read a plain and b complemented, so fusing them into
+    # one wire, as canonicalize does a plain pair, would drop the complement
+    c = parse_circuit(NET + "wire c in out\ngate CZ c a ~b\n")
+    assert validate(c) == []
+    out = canonicalize(c)
+    assert out.structural_key() == c.structural_key()
+    ins, outs = interface(c)
+    for bits in itertools.product((0, 1), repeat=len(ins) + len(outs)):
+        q = BoundaryAssignment(dict(zip(ins, bits)), dict(zip(outs, bits[len(ins):])))
+        assert evaluate(out, q).value == evaluate(c, q).value
