@@ -42,6 +42,7 @@ from .gates import BUILTIN, GateDef
 def _setters(cls) -> tuple:
     return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
 
+
 @dataclass(frozen=True, slots=True, init=False)
 class Wire:
     name: str
@@ -377,7 +378,7 @@ _RELABELS = frozenset(n for n, d in BUILTIN.items() if d.tap or d.flip) | {"SWAP
 
 def _clash_names(made: dict[str, int]) -> dict[tuple[str, int], str]:
     """The segment names that are not plain ``q<k>``, by (line, number),
-    from ``made``, the count of numbers each line used while lowering.
+    given ``made``, each line's count of numbers when lowering's walk ends.
 
     Line q uses one number for its input wire and one for each gate that
     maps it, a gate that cuts nothing included, so every segment keeps the
