@@ -19,21 +19,26 @@ runs in three stages:
   the low bits only the m that some mixed gate reads matter afterwards, so
   by the distributive law the surviving patterns are summed out onto those
   m bits, keeping per key a marginal product and a count of histories;
-* high stage: the high-only gates run over a run of consecutive block
-  numbers at once, leaving the surviving blocks and their scalar products;
-* cross stage: each surviving block is crossed with each kept key, the lane
-  starting at scalar times marginal, and the mixed gates run over these
-  lanes.  The amplitude is the sum of the surviving lanes, and the accepted
-  count the sum of their keys' counts, so histories whose marginal cancels
-  to exactly zero are still counted.
+* high stage: the high-only gates run once over each chunk of up to
+  2^16 consecutive block numbers, leaving the chunk's surviving blocks and
+  their scalar products;
+* cross stage: the surviving blocks of a chunk are crossed with the kept
+  keys in batches of at most 2^low lanes (and at least one block), each
+  lane starting at scalar times marginal, and the mixed gates run over
+  these lanes.  The amplitude is the sum of the surviving lanes, and the
+  accepted count the sum of their keys' counts, so histories whose
+  marginal cancels to exactly zero are still counted.
 
 A gate's entry index is a constant (external bits and complemented reads)
-XORed with shifted lane bits; lanes whose factor is an exact zero are
-dropped from later gates.  Within each stage the gates with a zero entry
-run first, so the rest see only surviving lanes.  A run holds at most
-2^low lanes and at least one block, so memory stays O(2^low).  Runs are
-reduced in ascending order whether or not a thread pool is used, so threads
-change no bit.
+XORed with lane bits, which one mask and one shift move into place for
+each distinct offset between a lane bit and the leg place it fills.  A gate
+with a zero entry first drops the lanes it zeroes, then multiplies the rest;
+a gate whose entries are all 0 or 1 (CNOT, TOFFOLI, XOR3) only drops them.
+Within each stage the gates with a zero entry run first, so the rest see
+only surviving lanes.  Memory is bounded per stage: 2^low lanes in the low
+stage and in a batch, 2^16 blocks in a chunk.  Batches are reduced in
+ascending order whether or not a thread pool maps them, so threads change
+no bit.
 
 What the circuit alone fixes — the sorted internal wires, each gate's entry
 table and leg reads, and the split with the gates grouped by stage — is one
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import os
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import product as _bitproduct
 
@@ -60,7 +65,7 @@ from .errors import MaxWiresExceeded, ValidationError
 
 DEFAULT_MAX_WIRES = 40
 HARD_MAX_WIRES = 62    # 2^63 histories no longer fit a signed 64-bit count
-MAX_LOW = 16           # the split holds at most 2^16 lanes
+MAX_LOW = 16           # at most 2^16 lanes in the split, 2^16 blocks in a chunk
 
 
 def resolve_max_wires(max_wires: int | None) -> int:
@@ -82,6 +87,7 @@ def resolve_max_wires(max_wires: int | None) -> int:
 class _GateSpec:
     table: np.ndarray                    # GateDef.table, shared per definition
     nonzero: np.ndarray | None           # GateDef.nonzero_mask
+    zero_one: bool                       # GateDef.zero_one: filter, never multiply
     const_base: int                      # external + complement bits, pre-packed
     ext_legs: tuple[tuple[str, int], ...]  # (wire, place) still to fill per query
     var_legs: tuple[tuple[int, int], ...]  # (history shift, place)
@@ -91,8 +97,8 @@ class _GateSpec:
 class _Prepared:
     """The circuit's plan: its gates grouped for the split point ``low``.
     The low, high and cross groups hold ``(spec, legs)`` pairs whose legs
-    read ``(bit, place)`` in that stage's lane numbering.  ``reads`` are the
-    low bits mixed gates read."""
+    are ``_legs`` in that stage's lane numbering.  ``key`` packs the m low
+    bits mixed gates read into a key, also as ``_legs``."""
     internal: tuple[str, ...]
     norm_exponent: int
     histories: int                       # 2^w
@@ -101,15 +107,31 @@ class _Prepared:
     low_only: tuple[tuple[_GateSpec, tuple], ...]
     high_only: tuple[tuple[_GateSpec, tuple], ...]
     cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
-    reads: tuple[int, ...]
+    m: int
+    key: tuple[tuple[int, int], ...]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class EvalResult:
-    amplitude: Amplitude
+    """One query's answer.  It keeps the amplitude's listed sum and
+    normalization exponent as two fields, not as an ``Amplitude`` object,
+    so a kept answer is one object; ``amplitude`` builds it on request."""
+    _listed: complex
+    _norm_exponent: int
     internal_wires: tuple[str, ...]
     histories: int
     accepted: int
+
+    def __init__(self, amplitude: Amplitude, internal_wires: tuple[str, ...],
+                 histories: int, accepted: int):
+        self._listed, self._norm_exponent = amplitude.value, amplitude.norm_exponent
+        self.internal_wires = internal_wires
+        self.histories = histories
+        self.accepted = accepted
+
+    @property
+    def amplitude(self) -> Amplitude:
+        return Amplitude(self._listed, self._norm_exponent)
 
     @property
     def value(self) -> complex:
@@ -143,15 +165,31 @@ def _groups(specs: list[_GateSpec], low: int) -> tuple[list, list, list, list]:
 
 def _split_cost(groups: tuple[list, list, list, list], w: int, low: int) -> int:
     """Estimated lanes of gate work for one query split at ``low``, given the
-    ``_groups`` at that split (scalar gates cost nothing per lane)."""
+    ``_groups`` at that split (scalar gates cost nothing per lane), plus
+    ``_CALL_LANES`` per numpy call.  The low stage runs once, the high stage
+    once per chunk of up to 2^MAX_LOW blocks, and the mixed gates once per
+    batch of at most 2^low lanes, taking every block as surviving."""
     _, low_only, high_only, mixed = groups
     n_high, n_mixed = len(high_only), len(mixed)
     m = len({s for _, low_legs, _ in mixed for s, _ in low_legs})
     blocks = 1 << (w - low)
-    runs = -(-blocks // max(1, (1 << low) >> m))
-    # the low stage adds an arange, the key packing and three bincounts
+    chunks = -(-blocks >> MAX_LOW)
+    batches = -(-blocks // max(1, (1 << low) >> m))
+    # the low stage adds an arange, the key packing and three bincounts; a
+    # chunk an arange and its ones, a batch the crossing and the reduction
     return ((1 << low) * (len(low_only) + 4) + blocks * n_high + (blocks << m) * n_mixed
-            + runs * (n_high + n_mixed + 8) * _CALL_LANES)
+            + (len(low_only) + 8 + chunks * (n_high + 2) + batches * (n_mixed + 8))
+            * _CALL_LANES)
+
+
+def _legs(reads) -> tuple[tuple[int, int], ...]:
+    """``(bit, place)`` reads as ``(offset, select)`` pairs, one per offset
+    ``bit - place``: the index is the OR over pairs of the lane bits in
+    ``select``, shifted right by ``offset`` (left when negative)."""
+    select: dict[int, int] = {}
+    for bit, place in reads:
+        select[bit - place] = select.get(bit - place, 0) | 1 << bit
+    return tuple(select.items())
 
 
 def _build_plan(c: Circuit) -> _Prepared:
@@ -173,7 +211,7 @@ def _build_plan(c: Circuit) -> _Prepared:
                 var.append((w - 1 - pos[wire], place))
             else:
                 ext.append((wire, place))
-        specs.append(_GateSpec(g.gate.table, g.gate.nonzero_mask,
+        specs.append(_GateSpec(g.gate.table, g.gate.nonzero_mask, g.gate.zero_one,
                                const, tuple(ext), tuple(var)))
     # the cheapest split; the first of equally cheap ones
     low, (scalar, low_only, high_only, mixed) = min(
@@ -181,11 +219,14 @@ def _build_plan(c: Circuit) -> _Prepared:
         key=lambda split: _split_cost(split[1], w, split[0]))
     reads = sorted({s for _, low_legs, _ in mixed for s, _ in low_legs})
     slot = {s: r for r, s in enumerate(reads)}
-    cross = [(spec, tuple((slot[s], p) for s, p in low_legs)
-              + tuple((len(reads) + s, p) for s, p in high_legs))
+    m = len(reads)
+    cross = [(spec, _legs([(slot[s], p) for s, p in low_legs]
+                          + [(m + s, p) for s, p in high_legs]))
              for spec, low_legs, high_legs in mixed]
     return _Prepared(tuple(order), c.total_norm_exponent, 1 << w, low, tuple(scalar),
-                     tuple(low_only), tuple(high_only), tuple(cross), tuple(reads))
+                     tuple((spec, _legs(legs)) for spec, legs in low_only),
+                     tuple((spec, _legs(legs)) for spec, legs in high_only),
+                     tuple(cross), m, _legs([(s, r) for r, s in enumerate(reads)]))
 
 
 def wire_guard(n: int, what: str, max_wires: int | None, *,
@@ -219,28 +260,45 @@ def _const(spec: _GateSpec, assignment: dict[str, int]) -> int:
     return const
 
 
-def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply each ``(spec, const, legs)`` factor into ``vals``, lane by lane.
+def _index(h: np.ndarray, legs) -> np.ndarray:
+    """The OR over ``_legs`` pairs of the bits of ``h`` each selects, moved
+    into place: one mask and one shift per pair."""
+    idx = None
+    for offset, select in legs:
+        bits = h & select
+        if offset > 0:
+            bits >>= offset
+        elif offset < 0:
+            bits <<= -offset
+        if idx is None:
+            idx = bits
+        else:
+            idx |= bits
+    return idx
 
-    ``h`` holds each lane's bits, which ``legs`` (at least one) read by
-    ``(shift, place)``; lanes whose factor is an exact zero are dropped.
+
+def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply each ``(spec, const, legs)`` factor into ``vals``, lane by
+    lane and in place, so ``vals`` must be the caller's own array.
+
+    ``h`` holds each lane's bits, which ``legs`` (at least one pair) read;
+    a gate with a zero entry first drops the lanes it zeroes, and a 0/1
+    gate only drops them.
     """
     for spec, const, legs in gates:
-        (shift, place), *rest = legs
-        idx = ((h >> shift) & 1) << place
-        for shift, place in rest:
-            idx ^= ((h >> shift) & 1) << place
+        idx = _index(h, legs)
         if const:
             idx ^= const
-        vals = vals * spec.table[idx]
-        if spec.nonzero is None:
-            continue
-        nz = np.flatnonzero(spec.nonzero[idx])
-        if len(nz) < len(h):
-            h = h[nz]
-            vals = vals[nz]
-            if len(h) == 0:
-                break
+        if spec.nonzero is not None:
+            nz = np.flatnonzero(spec.nonzero[idx])
+            if len(nz) < len(h):
+                h = h[nz]
+                vals = vals[nz]
+                if len(h) == 0:
+                    break
+                idx = idx[nz]
+        if not spec.zero_one:
+            vals *= spec.table[idx]
     return h, vals
 
 
@@ -248,8 +306,8 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
              max_wires: int | None = None, threads: int | None = None) -> EvalResult:
     """Sum all histories for one fully bound boundary query.
 
-    ``threads`` sums runs of blocks in a pool; threads change no bit of the
-    result.
+    ``threads`` sums the cross batches in a pool; threads change no bit of
+    the result.
     """
     prep = prepare(c, max_wires)
     assignment = resolve_boundary(c, boundary or BoundaryAssignment())
@@ -269,12 +327,10 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
         scalar *= complex(spec.table[const])
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
-    m = len(prep.reads)
+    m = prep.m
     h, vals = _run_gates(bound(prep.low_only), np.arange(1 << low, dtype=np.int64),
                          np.ones(1 << low, dtype=np.complex128))
-    key = np.zeros(len(h), dtype=np.int64)
-    for r, s in enumerate(prep.reads):
-        key |= ((h >> s) & 1) << r
+    key = _index(h, prep.key) if m else np.zeros(len(h), dtype=np.int64)
     counts = np.bincount(key, minlength=1 << m)
     marg = np.empty(1 << m, dtype=np.complex128)
     marg.real = np.bincount(key, vals.real, 1 << m)
@@ -287,28 +343,33 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     high_only, cross = bound(prep.high_only), bound(prep.cross)
 
     blocks = prep.histories >> low
-    per_run = max(1, (1 << low) // len(keys))
+    per_batch = max(1, (1 << low) // len(keys))
 
-    def run_sum(j0: int) -> tuple[complex, int]:
-        # high stage, then the cross stage over lanes (block << m) | key
-        j = np.arange(j0, min(j0 + per_run, blocks), dtype=np.int64)
-        j, scalars = _run_gates(high_only, j, np.ones(len(j), dtype=np.complex128))
+    def cross_sum(span: tuple[np.ndarray, np.ndarray]) -> tuple[complex, int]:
+        # the cross stage over lanes (block << m) | key
+        j, scalars = span
         lanes, vals = _run_gates(cross, ((j << m)[:, None] | keys).ravel(),
                                  (scalars[:, None] * marg).ravel())
         return complex(np.sum(vals)), int(counts[lanes & ((1 << m) - 1)].sum())
 
-    runs = range(0, blocks, per_run)
-    if threads and threads > 1 and len(runs) > 1:
-        from concurrent.futures import ThreadPoolExecutor   # only a pool needs it
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_sum, runs))
-    else:
-        parts = map(run_sum, runs)
+    def chunk_batches(j0: int):
+        # the high stage over one chunk of blocks, its survivors cut in batches
+        j = np.arange(j0, min(j0 + (1 << MAX_LOW), blocks), dtype=np.int64)
+        j, scalars = _run_gates(high_only, j, np.ones(len(j), dtype=np.complex128))
+        for b in range(0, len(j), per_batch):
+            yield j[b:b + per_batch], scalars[b:b + per_batch]
+
     value = 0j
     accepted = 0
-    for v, acc in parts:
-        value += v
-        accepted += acc
+    pool = None
+    if threads and threads > 1 and blocks > per_batch:
+        from concurrent.futures import ThreadPoolExecutor   # only a pool needs it
+        pool = ThreadPoolExecutor(max_workers=threads)
+    with pool or nullcontext():
+        for j0 in range(0, blocks, 1 << MAX_LOW):
+            for v, acc in (pool.map if pool else map)(cross_sum, chunk_batches(j0)):
+                value += v
+                accepted += acc
     return _result(prep, value * scalar, accepted)
 
 

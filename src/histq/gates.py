@@ -19,9 +19,9 @@ one matrix per control setting, rows = output bits, columns = input bits.
 over it, and ``matrix_gate`` builds the entries by the inverse transpose.
 
 A ``GateDef`` is immutable, so what the hot paths read of it is derived once
-per definition and cached: the flat entry ``table`` and ``nonzero_mask`` for
-pruning, ``support`` for constant propagation, and for the passes,
-``validate`` and the emitter what the gate is (``builtin_name``,
+per definition and cached: the flat entry ``table``, and ``nonzero_mask``
+and ``zero_one`` for pruning, ``support`` for constant propagation, and for
+the passes, ``validate`` and the emitter what the gate is (``builtin_name``,
 ``is_phase``, ``tap``: the phase gate a diagonal built-in equals once its
 target's two legs are one, which lowering and ``canonicalize`` both write,
 and ``flip``: what X, Y and I lower to) and what is wrong with it
@@ -92,6 +92,12 @@ class GateDef:
         """Flat ``entries != 0`` for pruning, or None when no entry is zero."""
         mask = self.table != 0
         return None if mask.all() else mask
+
+    @cached_property
+    def zero_one(self) -> bool:
+        """Every entry is exactly 0 or 1 (CNOT, TOFFOLI, XOR3): the gate
+        selects histories and never weights them."""
+        return bool(np.isin(self.table, (0, 1)).all())
 
     @cached_property
     def support(self) -> tuple[int, ...]:

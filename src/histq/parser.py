@@ -150,20 +150,20 @@ def parse_circuit(text: str) -> Circuit:
         in_b = out_b = False
         in_v = out_v = None
         for t in toks:
-            key, _, val = t.partition("=")
+            key, eq, val = t.partition("=")
             # both ends of a qubit line are free already: only a pinned bit says more
-            if not val and mode == "seq" and key in ("in", "out"):
+            if not eq and mode == "seq" and key in ("in", "out"):
                 raise ParseError(lineno, f"usage: {noun} <name> {flags}")
             if key == "in":
                 in_b = True
-                if val:
+                if eq:
                     in_v = _bit(val, lineno)
             elif key == "out":
                 out_b = True
-                if val:
+                if eq:
                     out_v = _bit(val, lineno)
             else:
-                raise ParseError(lineno, f"unknown wire attribute {t!r}")
+                raise ParseError(lineno, f"unknown {noun} attribute {t!r}")
         return in_b, in_v, out_b, out_v
 
     def _bit(val: str, lineno: int) -> int:

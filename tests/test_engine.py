@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from histq import (BUILTIN, Amplitude, BoundaryAssignment, MaxWiresExceeded,
-                   Circuit, CircuitError, GateInstance, SeqDescription, SeqLine, SeqOp,
+                   Circuit, CircuitError, EvalResult, GateInstance, SeqDescription, SeqLine, SeqOp,
                    ValidationError, Wire,
                    amplitude_canonical, classify_wires, equivalent, evaluate,
                    free_output_ends, gate_factor, lower_sequential,
@@ -211,6 +211,20 @@ def test_three_stage_sum_matches_brute_force(case):
             assert r.accepted == accepted
 
 
+def filter_only_gates(c):
+    """The gates that only filter lanes (every entry 0 or 1, some 0) and read
+    a complemented leg, an internal wire and a boundary end."""
+    internal = set(classify_wires(c)[0])
+    return [g for g in c.gates
+            if g.gate.zero_one and g.gate.nonzero_mask is not None and any(g.negs)
+            and not internal.isdisjoint(g.wires) and not internal.issuperset(g.wires)]
+
+
+# netlists where such a gate (CNOT, XOR3 and TOFFOLI, XOR3, SWAP) keeps some
+# but not all histories and the amplitude is not zero
+FILTER_ONLY_SEEDS = (247, 982, 892, 2137)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 # a wire with a declared end and a gate leg on the same side: the dense
@@ -218,6 +232,10 @@ def test_three_stage_sum_matches_brute_force(case):
 @example(1268)
 @example(2256)
 @example(2799)
+@example(FILTER_ONLY_SEEDS[0])
+@example(FILTER_ONLY_SEEDS[1])
+@example(FILTER_ONLY_SEEDS[2])
+@example(FILTER_ONLY_SEEDS[3])
 def test_netlists_match_brute_force_at_every_split(seed):
     # feedback, repeated wires, complemented reads and contradictory pins
     rng = random.Random(seed)
@@ -225,8 +243,7 @@ def test_netlists_match_brute_force_at_every_split(seed):
     q = random_query(rng, c)
     want, accepted = brute_force(c, q)
     w = len(classify_wires(c)[0])
-    for r in (evaluate(c, q), evaluate_at(0, c, q), evaluate_at(1, c, q),
-              evaluate_at(w, c, q)):
+    for r in (evaluate(c, q), *(evaluate_at(low, c, q) for low in range(w + 1))):
         assert abs(r.value - want) <= 1e-12
         assert r.accepted == accepted
     # the dense engine answers the same or refuses the netlist
@@ -235,6 +252,16 @@ def test_netlists_match_brute_force_at_every_split(seed):
     except CircuitError:
         return
     assert abs(dense - want) <= 1e-12
+
+
+def test_filter_only_seeds_reach_the_filter_only_path():
+    for seed in FILTER_ONLY_SEEDS:
+        rng = random.Random(seed)
+        c = random_netlist(rng)
+        q = random_query(rng, c)
+        assert filter_only_gates(c), seed
+        want, accepted = brute_force(c, q)
+        assert 0 < accepted < 1 << len(classify_wires(c)[0]) and want != 0, seed
 
 
 @settings(max_examples=100, deadline=None)
@@ -323,6 +350,45 @@ def test_block_skip_keeps_accepted_exact(monkeypatch):
         assert sorted(lanes[2]) == [0, 1]             # the low patterns, once
         assert sorted(lanes[3]) == [0, 1, 2, 3]       # every block
         assert sorted(lanes[0]) == [1, 2]             # only where a1 != a2
+
+
+def test_high_stage_runs_once_per_chunk(monkeypatch):
+    # 17 NOTs fix a1..a16, which at low 1 are the top 16 of the 18 block
+    # bits: 4 chunks of 2^16 blocks, with the 4 surviving blocks (b1, b2
+    # free) in one chunk.  The H between b2 and b3, the low bit, is the one
+    # mixed gate, so the 2 kept keys cross one block per batch: 4 batches
+    c = parse_circuit("version 1\nmode seq\n" + NOT_TEXT + "qubit a in=0 out=1\n"
+                      "qubit b in=0 out=0\n" + "apply NOT a\n" * 17 + "apply H b\n" * 4)
+    monkeypatch.setattr(engine, "_split_cost", lambda groups, w, at: abs(at - 1))
+    plan = engine.prepare(c)
+    assert (len(plan.internal), plan.low, len(plan.cross)) == (19, 1, 1)
+    stage = {id(spec): name for name, group in (("low", plan.low_only),
+                                                ("high", plan.high_only),
+                                                ("cross", plan.cross))
+             for spec, _ in group}
+    calls = []
+    run_gates = engine._run_gates
+    monkeypatch.setattr(engine, "_run_gates", lambda gates, h, vals: calls.append(
+        {stage[id(spec)] for spec, _, _ in gates}) or run_gates(gates, h, vals))
+    for threads in (None, 2):
+        calls.clear()
+        r = evaluate(c, threads=threads)
+        # NOT^17 |0> = |1> and H^4 = I: 8 histories of +-1, times 2^-2
+        assert r.value == 1 and r.accepted == 8
+        assert sorted(map(sorted, calls)) == [["cross"]] * 4 + [["high"]] * 4 + [["low"]]
+
+
+def test_zero_one_gates_only_filter():
+    for name in ("CNOT", "TOFFOLI", "XOR3"):
+        assert BUILTIN[name].zero_one
+    for g in (BUILTIN["H"], phase_gate(math.pi, 2), matrix_gate("R", [[1, 0], [0, -1]])):
+        assert not g.zero_one
+
+
+def test_eval_result_builds_its_amplitude():
+    r = EvalResult(Amplitude(3 + 1j, 2), ("a1",), 2, 1)
+    assert r.amplitude == Amplitude(3 + 1j, 2) and r.value == (1.5 + 0.5j)
+    assert (r.internal_wires, r.histories, r.accepted) == (("a1",), 2, 1)
 
 
 @pytest.mark.parametrize("bit", [2, -1])

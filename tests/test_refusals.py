@@ -71,6 +71,11 @@ REFUSALS = [
     *(pytest.param(lambda tmp, cap, f=f: parse_refusal(f"version 1\nmode seq\nqubit a {f}\n"),
                    "line 3: usage: qubit <name> [in=b] [out=b]", id=f"seq-bare-{f}")
       for f in ("in", "out", "in out")),
+    *(pytest.param(lambda tmp, cap, f=f: parse_refusal(f"version 1\nmode net\nwire a {f}=\n"),
+                   "line 3: boundary bit must be 0 or 1, got ''", id=f"net-empty-{f}-bit")
+      for f in ("in", "out")),
+    pytest.param(lambda tmp, cap: parse_refusal("version 1\nmode seq\nqubit a foo\n"),
+                 "line 3: unknown qubit attribute 'foo'", id="seq-unknown-attribute"),
     pytest.param(lambda tmp, cap: parse_refusal(NET + "gate\n"),
                  "line 5: usage: gate <NAME> <wire>...", id="bare-gate"),
     pytest.param(lambda tmp, cap: parse_refusal(NET + "apply X a\n"),
