@@ -14,7 +14,7 @@ both values, one assignment per history.
 
 ``_boundary`` is the one home of this rule: a count of each wire's legs by
 role.  What the netlist alone fixes (those wires, ``Circuit.ends``, the
-history-sum plan and the dense schedule) is derived once per circuit into
+history-sum plans and the dense schedule) is derived once per circuit into
 one table of ``Derived`` records, kept for the last ``RECORDS_KEPT``
 circuits asked.  Pinned bits stay on the ``Wire``, and ``interface`` names
 the unpinned boundary ends, the ones a query binds.
@@ -125,7 +125,7 @@ class Derived:
     ins: tuple[Wire, ...]
     outs: tuple[Wire, ...]
     ends: Mapping[str, WireEnds] | None = None
-    plan: object = None                 # engine.prepare
+    plans: dict | None = None           # engine._plan, per set of open ends
     schedule: object = None             # statevector.sequential_order
 
 
@@ -318,6 +318,13 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
     a boundary end has no value from either source, and ValidationError for a
     supplied bit other than 0 or 1.
     """
+    return resolve_ends(c, b, ())
+
+
+def resolve_ends(c: Circuit, b: BoundaryAssignment,
+                 opened: tuple[tuple[str, str], ...]) -> dict[str, int] | None:
+    """``resolve_boundary`` with the ``opened`` (side, wire) ends left open:
+    not missing, and giving their wire no value."""
     ins = {w.name for w in c.input_wires}
     outs = {w.name for w in c.output_wires}
     for side, bits, ends in (("input", b.in_bits, ins), ("output", b.out_bits, outs)):
@@ -335,7 +342,7 @@ def resolve_boundary(c: Circuit, b: BoundaryAssignment) -> dict[str, int] | None
         got: list[int] = []
         for side, at_boundary, bits, pin in (("in", w.name in ins, b.in_bits, w.in_value),
                                              ("out", w.name in outs, b.out_bits, w.out_value)):
-            if at_boundary:
+            if at_boundary and not (opened and (side, w.name) in opened):
                 sources = [int(v) for v in (bits.get(w.name), pin) if v is not None]
                 if not sources:
                     missing.append(f"{w.name}:{side}")

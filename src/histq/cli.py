@@ -12,7 +12,6 @@ import json
 import math
 import re
 import sys
-from functools import partial
 
 from .circuit import BoundaryAssignment, Circuit, classify_wires, validate
 from .engine import evaluate, free_output_ends, output_distribution
@@ -96,9 +95,7 @@ def cmd_run(args) -> int:
 def cmd_dist(args) -> int:
     c = _load(args.file)
     q = _query(c, getattr(args, "in"), None)
-    amp = (partial(amplitude_canonical, max_wires=args.max_wires)
-           if args.engine == "canonical" else None)
-    d = output_distribution(c, q, amplitude=amp, max_wires=args.max_wires)
+    d = output_distribution(c, q, engine=args.engine, max_wires=args.max_wires)
     free = free_output_ends(c, q)
     if args.json:
         print(json.dumps({"ends": free, "probs": d.probs, "total": d.total}))

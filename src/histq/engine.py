@@ -6,6 +6,11 @@ gate entries selected by each history, times 2^(-K/2) for the circuit's total
 normalization exponent K.  Nothing here requires, or checks, that the circuit
 has a gate schedule — feedback netlists evaluate the same way.
 
+A query may leave boundary ends open (``open_amplitudes``): a wire whose
+every end is open is then one more history bit, an open end whose wire is
+bound elsewhere a constant bit, and the sum is kept per pattern of the
+open ends, the first most significant and inputs before outputs.
+
 Histories are numbered by a w-bit counter, split into its low ``low`` bits
 and a block number holding the high bits.  The plan picks ``low`` (at
 most 16) once per circuit, as the split with the least estimated work:
@@ -25,9 +30,10 @@ runs in three stages:
 * cross stage: the surviving blocks of a chunk are crossed with the kept
   keys in batches of at most 2^low lanes (and at least one block), each
   lane starting at scalar times marginal, and the mixed gates run over
-  these lanes.  The amplitude is the sum of the surviving lanes, and the
-  accepted count the sum of their keys' counts, so histories whose
-  marginal cancels to exactly zero are still counted.
+  these lanes.  The amplitude is the sum of the surviving lanes (with open
+  ends, one ``bincount`` keyed by their pattern), and the accepted count
+  the sum of their keys' counts, so histories whose marginal cancels to
+  exactly zero are still counted.
 
 A gate's entry index is a constant (external bits and complemented reads)
 XORed with lane bits, which one mask and one shift move into place for
@@ -40,27 +46,28 @@ stage and in a batch, 2^16 blocks in a chunk.  Batches are reduced in
 ascending order whether or not a thread pool maps them, so threads change
 no bit.
 
-What the circuit alone fixes — the sorted internal wires, each gate's entry
-table and leg reads, and the split with the gates grouped by stage — is one
-plan, built on the circuit's first query and shared by every later
-``evaluate``, so ``output_distribution`` and ``equivalent`` build it once.
-It is kept in the circuit's ``circuit.derived`` record.  The wire guard runs
-on every query; ``wire_guard`` is the one home of that check, for
-``output_distribution``, ``equivalent`` and the dense engine too.
+What the circuit and the set of open ends fix — the sorted lane wires,
+each gate's entry table and leg reads, and the split with the gates grouped
+by stage — is one plan, built on first use and kept in the circuit's
+``circuit.derived`` record, so a fully bound ``evaluate``, a ``dist`` and an
+``equivalent`` each build theirs once.  The wire guard runs on every query;
+``wire_guard`` is the one home of that check, for ``output_distribution``,
+``equivalent`` and the dense engine too.
 """
 
 from __future__ import annotations
 
 import os
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import product as _bitproduct
+from itertools import product
 
 import numpy as np
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, classify_wires, derived,
-                      interface, resolve_boundary)
+                      interface, resolve_boundary, resolve_ends)
 from .errors import MaxWiresExceeded, ValidationError
 
 DEFAULT_MAX_WIRES = 40
@@ -85,7 +92,7 @@ def resolve_max_wires(max_wires: int | None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class _GateSpec:
-    table: np.ndarray                    # GateDef.table, shared per definition
+    table: np.ndarray | None             # GateDef.table; None for the open-end key
     nonzero: np.ndarray | None           # GateDef.nonzero_mask
     zero_one: bool                       # GateDef.zero_one: filter, never multiply
     const_base: int                      # external + complement bits, pre-packed
@@ -98,8 +105,9 @@ class _Prepared:
     """The circuit's plan: its gates grouped for the split point ``low``.
     The low, high and cross groups hold ``(spec, legs)`` pairs whose legs
     are ``_legs`` in that stage's lane numbering.  ``key`` packs the m low
-    bits mixed gates read into a key, also as ``_legs``."""
-    internal: tuple[str, ...]
+    bits mixed gates read into a key, also as ``_legs``, and ``ends`` the
+    ``opened`` ends into the pattern index, as a cross ``(spec, legs)``."""
+    internal: tuple[str, ...]            # lane wires, the open ones included
     norm_exponent: int
     histories: int                       # 2^w
     low: int
@@ -109,6 +117,8 @@ class _Prepared:
     cross: tuple[tuple[_GateSpec, tuple], ...]   # lanes (block << m) | key
     m: int
     key: tuple[tuple[int, int], ...]
+    opened: tuple[tuple[str, str], ...]  # ("in" or "out", wire), inputs first
+    ends: tuple[_GateSpec, tuple] | None  # None when no end is open
 
 
 @dataclass(slots=True, init=False)
@@ -145,21 +155,21 @@ _CALL_LANES = 600
 def _groups(specs: list[_GateSpec], low: int) -> tuple[list, list, list, list]:
     """The gates by stage at split ``low``, each group in ``specs`` order:
     scalar specs, low-only and high-only ``(spec, legs)`` (high legs counted
-    from bit ``low``), and mixed ``(spec, low legs, high legs)``."""
+    from bit ``low``), and mixed ``(spec, low legs, high legs)``, where the
+    open-end key goes whatever it reads."""
     scalar, low_only, high_only, mixed = [], [], [], []
     for spec in specs:
         legs = spec.var_legs
         low_legs = tuple(leg for leg in legs if leg[0] < low)
-        if not legs:
-            scalar.append(spec)
-        elif len(low_legs) == len(legs):
+        high_legs = tuple((s - low, p) for s, p in legs if s >= low)
+        if spec.table is None or low_legs and high_legs:
+            mixed.append((spec, low_legs, high_legs))
+        elif high_legs:
+            high_only.append((spec, high_legs))
+        elif low_legs:
             low_only.append((spec, legs))
         else:
-            high_legs = tuple((s - low, p) for s, p in legs if s >= low)
-            if low_legs:
-                mixed.append((spec, low_legs, high_legs))
-            else:
-                high_only.append((spec, high_legs))
+            scalar.append(spec)
     return scalar, low_only, high_only, mixed
 
 
@@ -192,18 +202,26 @@ def _legs(reads) -> tuple[tuple[int, int], ...]:
     return tuple(select.items())
 
 
-def _build_plan(c: Circuit) -> _Prepared:
-    order = sorted(classify_wires(c)[0])
+def _build_plan(c: Circuit, opened: tuple[tuple[str, str], ...] = ()) -> _Prepared:
+    # a boundary wire whose every end is open is one more lane bit
+    n_open, wire_ends = Counter(wire for _, wire in opened), c.ends
+    order = sorted([*classify_wires(c)[0], *(wire for wire, k in n_open.items()
+                    if k == wire_ends[wire].in_boundary + wire_ends[wire].out_boundary)])
     w = len(order)
     pos = {name: i for i, name in enumerate(order)}  # position 0 is the high bit
+    # gates that can zero a lane run first, each group in circuit order; the
+    # open-end key, last, reads each open end as a leg, first end leftmost
+    gates = [(g.gate.table, g.gate.nonzero_mask, g.gate.zero_one, g.wires, g.negs)
+             for g in sorted(c.gates, key=lambda g: g.gate.nonzero_mask is None)]
+    if opened:
+        gates.append((None, None, True, [wire for _, wire in opened], [False] * len(opened)))
     specs = []
-    # gates that can zero a lane run first, each group in circuit order
-    for g in sorted(c.gates, key=lambda g: g.gate.nonzero_mask is None):
-        n = g.gate.n_legs
+    for table, nonzero, zero_one, wires, negs in gates:
+        n = len(wires)
         const = 0
         ext = []
         var = []
-        for li, (wire, neg) in enumerate(zip(g.wires, g.negs)):
+        for li, (wire, neg) in enumerate(zip(wires, negs)):
             place = n - 1 - li
             if neg:
                 const ^= 1 << place
@@ -211,8 +229,7 @@ def _build_plan(c: Circuit) -> _Prepared:
                 var.append((w - 1 - pos[wire], place))
             else:
                 ext.append((wire, place))
-        specs.append(_GateSpec(g.gate.table, g.gate.nonzero_mask, g.gate.zero_one,
-                               const, tuple(ext), tuple(var)))
+        specs.append(_GateSpec(table, nonzero, zero_one, const, tuple(ext), tuple(var)))
     # the cheapest split; the first of equally cheap ones
     low, (scalar, low_only, high_only, mixed) = min(
         ((low, _groups(specs, low)) for low in range(min(w, MAX_LOW) + 1)),
@@ -223,10 +240,12 @@ def _build_plan(c: Circuit) -> _Prepared:
     cross = [(spec, _legs([(slot[s], p) for s, p in low_legs]
                           + [(m + s, p) for s, p in high_legs]))
              for spec, low_legs, high_legs in mixed]
+    ends = cross.pop() if opened else None
     return _Prepared(tuple(order), c.total_norm_exponent, 1 << w, low, tuple(scalar),
                      tuple((spec, _legs(legs)) for spec, legs in low_only),
                      tuple((spec, _legs(legs)) for spec, legs in high_only),
-                     tuple(cross), m, _legs([(s, r) for r, s in enumerate(reads)]))
+                     tuple(cross), m, _legs([(s, r) for r, s in enumerate(reads)]),
+                     opened, ends)
 
 
 def wire_guard(n: int, what: str, max_wires: int | None, *,
@@ -243,11 +262,17 @@ def wire_guard(n: int, what: str, max_wires: int | None, *,
                                "raise --max-wires/HISTQ_MAX_WIRES to override")
 
 
-def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
-    """The circuit's plan, built on its first call and kept in its
-    ``derived`` record; the wire guard runs on every call."""
+def _plan(c: Circuit, opened: tuple[tuple[str, str], ...]) -> _Prepared:
+    """The plan for the ``opened`` ends, kept in the circuit's ``derived`` record."""
     rec = derived(c)
-    prep = rec.plan = rec.plan or _build_plan(c)
+    plans = rec.plans = rec.plans or {}
+    return plans.get(opened) or plans.setdefault(opened, _build_plan(c, opened))
+
+
+def prepare(c: Circuit, max_wires: int | None = None) -> _Prepared:
+    """The circuit's plan for fully bound queries (``_plan``); the wire
+    guard runs on every call."""
+    prep = _plan(c, ())
     w = len(prep.internal)
     wire_guard(w, f"{w} internal wires", max_wires)
     return prep
@@ -262,7 +287,7 @@ def _const(spec: _GateSpec, assignment: dict[str, int]) -> int:
 
 def _index(h: np.ndarray, legs) -> np.ndarray:
     """The OR over ``_legs`` pairs of the bits of ``h`` each selects, moved
-    into place: one mask and one shift per pair."""
+    into place: one mask and one shift per pair, zeros for no pair."""
     idx = None
     for offset, select in legs:
         bits = h & select
@@ -274,7 +299,7 @@ def _index(h: np.ndarray, legs) -> np.ndarray:
             idx = bits
         else:
             idx |= bits
-    return idx
+    return np.zeros(len(h), dtype=np.int64) if idx is None else idx
 
 
 def _run_gates(gates, h: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +335,16 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     the result.
     """
     prep = prepare(c, max_wires)
-    assignment = resolve_boundary(c, boundary or BoundaryAssignment())
+    return _sum(prep, resolve_boundary(c, boundary or BoundaryAssignment()), threads)
+
+
+def _sum(prep: _Prepared, assignment: dict[str, int] | None,
+         threads: int | None = None) -> EvalResult:
+    """The sum over ``prep``'s histories under ``assignment`` (None: a
+    contradiction); with open ends, an array of one sum per pattern."""
+    value = np.zeros(1 << len(prep.opened), dtype=np.complex128) if prep.ends else 0j
     if assignment is None:
-        return _result(prep, 0j, 0)
+        return _result(prep, value, 0)
     low = prep.low
 
     def bound(group):
@@ -323,7 +355,7 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     for spec in prep.scalar:
         const = _const(spec, assignment)
         if spec.nonzero is not None and not spec.nonzero[const]:
-            return _result(prep, 0j, 0)
+            return _result(prep, value, 0)
         scalar *= complex(spec.table[const])
 
     # low stage: sum the low patterns out onto the m low bits mixed gates read
@@ -338,19 +370,26 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     del h, vals, key
     keys = np.flatnonzero(counts)
     if len(keys) == 0:
-        return _result(prep, 0j, 0)
+        return _result(prep, value, 0)
     marg = marg[keys]
     high_only, cross = bound(prep.high_only), bound(prep.cross)
+    ends = bound([prep.ends])[0] if prep.ends else None
 
     blocks = prep.histories >> low
     per_batch = max(1, (1 << low) // len(keys))
 
-    def cross_sum(span: tuple[np.ndarray, np.ndarray]) -> tuple[complex, int]:
+    def cross_sum(span: tuple[np.ndarray, np.ndarray]) -> tuple[complex | np.ndarray, int]:
         # the cross stage over lanes (block << m) | key
         j, scalars = span
         lanes, vals = _run_gates(cross, ((j << m)[:, None] | keys).ravel(),
                                  (scalars[:, None] * marg).ravel())
-        return complex(np.sum(vals)), int(counts[lanes & ((1 << m) - 1)].sum())
+        accepted = int(counts[lanes & ((1 << m) - 1)].sum())
+        if ends is None:
+            return complex(np.sum(vals)), accepted
+        # one bincount by open-end pattern, real and imaginary parts side by side
+        pattern = _index(lanes, ends[2]) ^ ends[1]
+        return (np.bincount((2 * pattern[:, None] + (0, 1)).ravel(), vals.view(np.float64),
+                            2 * len(value)).view(np.complex128), accepted)
 
     def chunk_batches(j0: int):
         # the high stage over one chunk of blocks, its survivors cut in batches
@@ -359,7 +398,6 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
         for b in range(0, len(j), per_batch):
             yield j[b:b + per_batch], scalars[b:b + per_batch]
 
-    value = 0j
     accepted = 0
     pool = None
     if threads and threads > 1 and blocks > per_batch:
@@ -373,9 +411,17 @@ def evaluate(c: Circuit, boundary: BoundaryAssignment | None = None, *,
     return _result(prep, value * scalar, accepted)
 
 
-def _result(prep: _Prepared, value: complex, accepted: int) -> EvalResult:
+def _result(prep: _Prepared, value: complex | np.ndarray, accepted: int) -> EvalResult:
     return EvalResult(Amplitude(value, prep.norm_exponent), prep.internal,
                       prep.histories, accepted)
+
+
+def open_amplitudes(c: Circuit, boundary: BoundaryAssignment, ins=(), outs=()) -> np.ndarray:
+    """The amplitude of every pattern of the open ends ``ins`` and ``outs``,
+    inputs first, the first end most significant, from one history sum;
+    ``boundary`` binds the rest.  The caller guards w plus the open ends."""
+    opened = (*(("in", w) for w in ins), *(("out", w) for w in outs))
+    return np.ravel(_sum(_plan(c, opened), resolve_ends(c, boundary, opened)).value)
 
 
 @dataclass
@@ -394,36 +440,35 @@ def free_output_ends(c: Circuit, boundary: BoundaryAssignment | None = None) -> 
 
 
 def output_distribution(c: Circuit, boundary: BoundaryAssignment | None = None, *,
-                        amplitude=None, max_wires: int | None = None) -> Distribution:
+                        engine: str = "soh", max_wires: int | None = None) -> Distribution:
     """Probability of each assignment of the free output ends.
 
     The inputs (and any pinned or queried outputs) come from ``boundary``;
     the remaining output ends are enumerated in declaration order, first
-    end leftmost.  ``amplitude`` defaults to the history sum; pass a
-    different callable to use another evaluation strategy.
+    end leftmost.  ``engine="soh"`` takes every pattern from one history
+    sum (``open_amplitudes``); ``"canonical"`` reads every free output
+    component from one dense simulation.
 
     The wire guard, hard limit included, covers the 2^f patterns of the f
     free ends, and under the history sum the 2^(w+f) histories they take
-    together; the guard trips before any pattern is evaluated.
+    together; the guard trips before the sum or the simulation runs.
     """
+    if engine not in ("soh", "canonical"):
+        raise ValidationError(f"unknown engine {engine!r} (have: canonical, soh)")
+    boundary = boundary or BoundaryAssignment()
     free = free_output_ends(c, boundary)
     f = len(free)
-    w = len(classify_wires(c)[0]) if amplitude is None else 0
+    w = len(classify_wires(c)[0]) if engine == "soh" else 0
     wire_guard(w + f, f"{f} free output ends" + (f" and {w} internal wires" if w else ""),
                max_wires)
-    base_in = dict(boundary.in_bits) if boundary else {}
-    base_out = dict(boundary.out_bits) if boundary else {}
-    if amplitude is None:
-        amp_fn = lambda b: evaluate(c, b, max_wires=max_wires).value
+    if engine == "soh":
+        amps = open_amplitudes(c, boundary, outs=free)
     else:
-        amp_fn = lambda b: amplitude(c, b)
-    probs: dict[str, float] = {}
-    for bits in _bitproduct((0, 1), repeat=len(free)):
-        out = dict(base_out)
-        out.update(zip(free, bits))
-        a = amp_fn(BoundaryAssignment(base_in, out))
-        probs["".join(map(str, bits))] = abs(a) ** 2
-    return Distribution(probs)
+        from .statevector import output_components   # statevector imports this module
+        amps = Amplitude(output_components(c, boundary, free, max_wires=max_wires).ravel(),
+                         c.total_norm_exponent).resolved()
+    return Distribution(dict(zip(map("".join, product("01", repeat=f)),
+                                 (abs(amps) ** 2).tolist())))
 
 
 @contextmanager

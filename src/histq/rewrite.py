@@ -433,7 +433,8 @@ def equivalent(a: Circuit, b: Circuit, *,
     a rewrite may rename a boundary wire but never move or drop an end, so
     position i of one circuit's free inputs is queried together with
     position i of the other's.  Exhaustive over all assignments when there
-    are at most eight free bits, otherwise ``EQUIV_SAMPLES`` queries drawn
+    are at most eight free bits, from one history sum per circuit
+    (``engine.open_amplitudes``), otherwise ``EQUIV_SAMPLES`` queries drawn
     from ``rng`` (default: seeded with 0).  Returns (largest deviation seen
     at most ``EQUIV_TOL``, that deviation), or (False, inf) at the first
     non-finite deviation.  Raises InterfaceMismatch when the end counts
@@ -450,22 +451,20 @@ def equivalent(a: Circuit, b: Circuit, *,
     for w in (len(classify_wires(c)[0]) for c in (a, b)):
         engine.wire_guard(w + bits, f"{w} internal wires and {bits} pattern bits", None)
     if nbits <= 8:
-        cases = range(1 << nbits)
+        # every boundary pattern of each circuit from one history sum
+        devs = abs(engine.open_amplitudes(a, BoundaryAssignment(), ins_a, outs_a)
+                   - engine.open_amplitudes(b, BoundaryAssignment(), ins_b, outs_b)).tolist()
     else:
         r = rng or random.Random(0)
-        cases = [r.getrandbits(nbits) for _ in range(EQUIV_SAMPLES)]
-    worst = 0.0
-    for bits in cases:
-        def query(ins, outs):
-            return BoundaryAssignment(
-                {w: (bits >> (nbits - 1 - i)) & 1 for i, w in enumerate(ins)},
-                {w: (bits >> (nbits - 1 - len(ins) - j)) & 1
-                 for j, w in enumerate(outs)})
-        # through the module, so a wrapper installed on engine.evaluate sees it
-        va = engine.evaluate(a, query(ins_a, outs_a)).value
-        vb = engine.evaluate(b, query(ins_b, outs_b)).value
-        dev = abs(va - vb)
-        if not math.isfinite(dev):   # NaN would lose every comparison in max()
-            return False, math.inf
-        worst = max(worst, dev)
+        devs = []
+        for bits in (f"{r.getrandbits(nbits):0{nbits}b}" for _ in range(EQUIV_SAMPLES)):
+            def query(ins, outs):
+                return BoundaryAssignment(dict(zip(ins, map(int, bits))),
+                                          dict(zip(outs, map(int, bits[len(ins):]))))
+            # through the module, so a wrapper installed on engine.evaluate sees it
+            devs.append(abs(engine.evaluate(a, query(ins_a, outs_a)).value
+                            - engine.evaluate(b, query(ins_b, outs_b)).value))
+    if not all(map(math.isfinite, devs)):   # NaN would lose every comparison in max()
+        return False, math.inf
+    worst = max(devs)
     return worst <= EQUIV_TOL, worst

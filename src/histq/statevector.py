@@ -19,8 +19,9 @@ which replaces its paired input's label in the output, so the qubit keeps its
 axis.  A tap gate that reads one wire twice repeats the label, and einsum
 takes the diagonal.  A complemented read is the entry tensor flipped along
 that leg's axis.  Listed entries are used throughout; the accumulated
-normalization exponent is applied once, after the requested output component
-is read.
+normalization exponent is applied once, after the requested output
+components are read: one for a fully bound query, every pattern of the free
+output ends for a ``dist`` (``output_components``).
 
 The schedule depends on the circuit alone, so it is kept in the circuit's
 ``circuit.derived`` record; a circuit with none raises on every query.
@@ -34,7 +35,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .circuit import (Amplitude, BoundaryAssignment, Circuit, derived, end_claims,
-                      resolve_boundary)
+                      resolve_boundary, resolve_ends)
 from .engine import HARD_MAX_WIRES, wire_guard
 from .errors import NonSequential
 from .gates import Role
@@ -130,11 +131,21 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
 
     The state holds 2^n amplitudes, so its n qubits count against the wire
     guard (``max_wires``, else ``HISTQ_MAX_WIRES``, else the default)."""
+    listed = output_components(c, boundary, (), max_wires=max_wires)
+    return Amplitude(complex(listed), c.total_norm_exponent).resolved()
+
+
+def output_components(c: Circuit, boundary: BoundaryAssignment, free, *,
+                      max_wires: int | None = None) -> np.ndarray:
+    """The listed <out|circuit|in>, normalization not applied, of every
+    pattern of the ``free`` output ends, one axis per end in order, all read
+    from one simulation."""
     n = len(c.input_wires)
     wire_guard(n, f"{n} qubits", max_wires, hard=HARD_MAX_QUBITS, unit="amplitudes")
-    assignment = resolve_boundary(c, boundary)
+    assignment = (resolve_ends(c, boundary, tuple(("out", w) for w in free)) if free
+                  else resolve_boundary(c, boundary))
     if assignment is None:
-        return 0j
+        return np.zeros((2,) * len(free), dtype=np.complex128)
     rec = derived(c)
     plan = rec.schedule = rec.schedule or sequential_order(c)
     axes = list(range(n))
@@ -144,5 +155,8 @@ def amplitude_canonical(c: Circuit, boundary: BoundaryAssignment, *,
         psi = np.einsum(ten, labels, psi, axes, out)
     idx = [0] * n
     for name, axis in plan.out_axes.items():
-        idx[axis] = assignment[name]
-    return Amplitude(complex(psi[tuple(idx)]), c.total_norm_exponent).resolved()
+        idx[axis] = slice(None) if name in free else assignment[name]
+    if not free:
+        return psi[tuple(idx)]
+    # the free axes are left in axis order; their ranks put them in ``free`` order
+    return psi[tuple(idx)].transpose(np.argsort(np.argsort([plan.out_axes[w] for w in free])))

@@ -1,7 +1,7 @@
 """Shared generators: random sequential circuits, random netlists and
-boundary queries; ``evaluate_at``, the history sum at a forced split;
-``seq_oracle``, a seq program's amplitude computed without lowering it; and
-``leg_attachments``, the free-end rule placed leg by leg."""
+boundary queries; ``evaluate_at``, a query whose history sums run at a
+forced split; ``seq_oracle``, a seq program's amplitude computed without
+lowering it; and ``leg_attachments``, the free-end rule placed leg by leg."""
 
 import itertools
 import math
@@ -110,18 +110,21 @@ def leg_attachments(c):
     return out
 
 
-def evaluate_at(low, c, q=None, **opts):
-    """``evaluate`` with the history counter split at ``low`` (at most w):
-    the circuit's plan is rebuilt with a cost model that prefers ``low``,
-    and dropped again afterwards so later queries get the cost-chosen one."""
+def evaluate_at(low, c, q=None, query=evaluate, **opts):
+    """``query(c, q, **opts)``, ``evaluate`` by default, with the history
+    counter split at ``low`` (at most the plan's lane bits): every plan of
+    the circuit, for fully bound queries and for any set of open ends
+    (``dist``, ``equivalent``), is rebuilt with a cost model that prefers
+    ``low``, and dropped again afterwards so later queries get the
+    cost-chosen one."""
     cost = engine._split_cost
-    engine._split_cost = lambda shifts, w, at: abs(at - low)
-    circuit.derived(c).plan = None
+    engine._split_cost = lambda groups, w, at: abs(at - low)
+    circuit.derived(c).plans = None
     try:
-        return evaluate(c, q, **opts)
+        return query(c, q, **opts)
     finally:
         engine._split_cost = cost
-        circuit.derived(c).plan = None
+        circuit.derived(c).plans = None
 
 
 def seq_oracle(desc, in_bits, out_bits):

@@ -438,13 +438,17 @@ def test_wire_guard(monkeypatch):
 def test_plan_is_built_once_per_circuit(monkeypatch):
     built = []
     real = engine._build_plan
-    monkeypatch.setattr(engine, "_build_plan", lambda c: built.append(c) or real(c))
+    monkeypatch.setattr(engine, "_build_plan",
+                        lambda c, opened=(): built.append((c, opened)) or real(c, opened))
     c = parse_circuit(TELEPORTATION_TEXT)
     q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
     first, second = evaluate(c, q), evaluate(c, q)
     assert output_distribution(c, BoundaryAssignment({"x0": 1})).total == 1.0
     assert equivalent(c, c) == (True, 0.0)
-    assert built == [c]
+    # one plan per circuit and set of open ends: none, dist's free outputs,
+    # and every free end for equivalent
+    outs = (("out", "x1"), ("out", "b2"), ("out", "c3"))
+    assert built == [(c, ()), (c, outs), (c, (("in", "x0"),) + outs)]
     assert first.internal_wires is second.internal_wires
     with pytest.raises(MaxWiresExceeded):
         evaluate(c, q, max_wires=len(first.internal_wires) - 1)
@@ -461,14 +465,15 @@ def test_plans_are_kept_for_the_last_circuits_queried(monkeypatch):
     for module, name, log in ((engine, "_build_plan", built), (circuit, "_boundary", counted),
                               (statevector, "sequential_order", ordered)):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda c, real=real, log=log: log.append(c) or real(c))
+        monkeypatch.setattr(module, name,
+                            lambda c, *a, real=real, log=log: log.append(c) or real(c, *a))
     cs = [parse_circuit(TELEPORTATION_TEXT) for _ in range(4)]
     q = BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1})
     values = [(evaluate(c, q).value, amplitude_canonical(c, q)) for c in cs[:3]]
     rec = circuit.derived(cs[0])
     assert (rec.ins, rec.outs) == (cs[0].input_wires, cs[0].output_wires)
     ends = cs[0].ends                   # built when first asked for
-    assert rec.ends is ends and rec.plan is engine.prepare(cs[0])
+    assert rec.ends is ends and rec.plans[()] is engine.prepare(cs[0])
     assert rec.schedule is not None and not hasattr(rec, "__dict__")
     for _ in range(3):                  # cycling through three circuits
         for c, v in zip(cs[:3], values):
@@ -569,8 +574,7 @@ def test_output_distribution_sums_to_one():
 
 def test_output_distribution_dense_engine():
     c = parse_circuit(TELEPORTATION_TEXT)
-    d = output_distribution(c, BoundaryAssignment({"x0": 0}, {}),
-                            amplitude=amplitude_canonical)
+    d = output_distribution(c, BoundaryAssignment({"x0": 0}, {}), engine="canonical")
     assert abs(d.total - 1.0) < 1e-12
 
 
@@ -592,23 +596,24 @@ def test_dist_wire_guard(monkeypatch):
         output_distribution(c, q, max_wires=w + f - 1)
     assert "3 free output ends and 2 internal wires" in str(ei.value)
     assert len(output_distribution(c, q, max_wires=w + f).probs) == 2 ** f
-    # another amplitude callable pays only for the patterns
+    # the dense engine pays only for the patterns
     monkeypatch.setenv("HISTQ_MAX_WIRES", str(f))
-    assert abs(output_distribution(c, q, amplitude=amplitude_canonical).total - 1.0) <= 1e-9
+    assert abs(output_distribution(c, q, engine="canonical").total - 1.0) <= 1e-9
     monkeypatch.setenv("HISTQ_MAX_WIRES", str(f - 1))
     with pytest.raises(MaxWiresExceeded):
-        output_distribution(c, q, amplitude=amplitude_canonical)
+        output_distribution(c, q, engine="canonical")
 
 
-def test_dist_hard_cap_trips_before_any_pattern():
-    def never(c, b):
-        raise AssertionError("a pattern was evaluated")
+def test_dist_hard_cap_trips_before_any_pattern(monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("a sum ran")
 
     assert len(output_distribution(wide_outputs(12), max_wires=12).probs) == 2 ** 12
+    monkeypatch.setattr(engine, "_sum", never)
     with pytest.raises(MaxWiresExceeded):
-        output_distribution(wide_outputs(13), max_wires=12, amplitude=never)
+        output_distribution(wide_outputs(13), max_wires=12)
     with pytest.raises(MaxWiresExceeded) as ei:
-        output_distribution(wide_outputs(64), max_wires=1000, amplitude=never)
+        output_distribution(wide_outputs(64), max_wires=1000)
     assert "64 free output ends" in str(ei.value) and "hard limit of 62" in str(ei.value)
 
 
@@ -617,3 +622,116 @@ def test_memory_probe_reports_peak():
         junk = np.ones(1 << 16)
         del junk
     assert probe.peak > (1 << 16) * 8
+
+
+def open_ends_case(seed):
+    """A netlist (``random_netlist``) or a lowered circuit
+    (``random_circuit``) with a query that leaves a random share of its free
+    ends open: (circuit, query, open inputs, open outputs)."""
+    rng = random.Random(seed)
+    c = random_netlist(rng) if seed % 2 else random_circuit(rng)
+    ins, outs = circuit.interface(c)
+    open_ins = [w for w in ins if rng.random() < 0.4]
+    open_outs = [w for w in outs if rng.random() < 0.7]
+    q = BoundaryAssignment({w: rng.getrandbits(1) for w in ins if w not in open_ins},
+                           {w: rng.getrandbits(1) for w in outs if w not in open_outs})
+    return c, q, open_ins, open_outs
+
+
+def check_one_sum(seed):
+    """The one-sum amplitude of every open-end pattern against per-pattern
+    ``evaluate``, at every forced split, and against the dense engine's one
+    simulation per input pattern wherever that engine runs.  Returns the
+    features the draw shows."""
+    c, q, ins, outs = open_ends_case(seed)
+    want = np.array([evaluate(c, BoundaryAssignment(
+        {**q.in_bits, **dict(zip(ins, bits))}, {**q.out_bits, **dict(zip(outs, bits[len(ins):]))}
+    )).value for bits in itertools.product((0, 1), repeat=len(ins) + len(outs))])
+    opened = (*(("in", w) for w in ins), *(("out", w) for w in outs))
+    plan = engine._plan(c, opened)
+    for low in range(len(plan.internal) + 1):
+        got = evaluate_at(low, c, q, query=lambda c, q: engine.open_amplitudes(c, q, ins, outs))
+        assert np.max(np.abs(got - want)) <= 1e-12, low
+    dense = None
+    try:
+        for i, bits in enumerate(itertools.product((0, 1), repeat=len(ins))):
+            row = Amplitude(statevector.output_components(
+                c, BoundaryAssignment({**q.in_bits, **dict(zip(ins, bits))}, q.out_bits), outs
+            ).ravel(), c.total_norm_exponent).resolved()
+            assert np.max(np.abs(row - want.reshape(-1, 1 << len(outs))[i])) <= 1e-12
+        dense = True
+    except CircuitError as e:
+        dense = str(e)
+    ends = {(side, w.name) for side, ws in (("in", c.input_wires), ("out", c.output_wires))
+            for w in ws}
+    lanes = [w for w in plan.internal if w not in classify_wires(c)[0]]
+    return {
+        "netlist": seed % 2 == 1,
+        "feedback": "feedback" in str(dense),
+        "dense": dense is True,
+        "repeated wires": any(len(set(g.wires)) < len(g.wires) for g in c.gates),
+        "complemented reads": any(True in g.negs for g in c.gates),
+        "contradictory pin": circuit.resolve_ends(c, q, opened) is None,
+        "open end on an uncut wire": any(
+            ("in", w) in ends and ("out", w) in ends and {("in", w), ("out", w)} - set(opened)
+            for _, w in opened),
+        "both ends open": any(("in", w) in opened and ("out", w) in opened for w in lanes),
+        "open bits on both sides of a split": len(lanes) >= 2,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_one_sum_matches_every_open_end_pattern(seed):
+    check_one_sum(seed)
+
+
+def test_one_sum_draws_cover_every_feature():
+    # the same check on fixed seeds, which between them show every feature
+    seen = {}
+    for seed in range(120):
+        for feature, shown in check_one_sum(seed).items():
+            seen[feature] = seen.get(feature, 0) + shown
+    assert all(seen.values()), seen
+
+
+def test_dist_runs_one_sum(monkeypatch):
+    # 10 lines, each an H from a pinned input to a free output: 10 free ends
+    # and no internal wire, so 1024 patterns from one sum and no evaluate
+    c = parse_circuit("version 1\nmode seq\n" + "".join(f"qubit q{i} in=0\n" for i in range(10))
+                      + "".join(f"apply H q{i}\n" for i in range(10)))
+    assert len(free_output_ends(c)) == 10 and not classify_wires(c)[0]
+    sums = []
+    real_sum = engine._sum
+    monkeypatch.setattr(engine, "_sum", lambda *a: sums.append(a) or real_sum(*a))
+    monkeypatch.setattr(engine, "evaluate", None)
+    d = output_distribution(c)
+    assert len(sums) == 1 and len(d.probs) == 1024
+    assert all(abs(p - 2 ** -10) <= 1e-15 for p in d.probs.values())
+    # equivalent, on at most eight free bits, runs one sum per circuit
+    sums.clear()
+    t = parse_circuit(TELEPORTATION_TEXT)
+    assert equivalent(t, t) == (True, 0.0) and len(sums) == 2
+
+
+@pytest.mark.parametrize("engine_name", ["soh", "canonical"])
+def test_fixed_open_ends_give_exact_zeros(engine_name):
+    # the free output of a wire no gate cuts reads its pinned input
+    c = parse_circuit("version 1\nmode net\nwire a in=1 out\nwire b in=0\nwire c out\n"
+                      "gate H b c\n")
+    d = output_distribution(c, engine=engine_name)
+    assert d.probs["00"] == d.probs["01"] == 0.0
+    assert abs(d.probs["10"] - 0.5) <= 1e-15 and abs(d.total - 1.0) <= 1e-15
+    # a contradictory pin zeroes every pattern
+    c = parse_circuit("version 1\nmode net\nwire a in=0 out=1\nwire b in=0\nwire c out\n"
+                      "gate H b c\n")
+    assert output_distribution(c, engine=engine_name).probs == {"0": 0.0, "1": 0.0}
+
+
+def test_plan_table_is_made_on_the_first_plan():
+    c = parse_circuit(TELEPORTATION_TEXT)
+    rec = circuit.derived(c)
+    c.ends, amplitude_canonical(c, BoundaryAssignment({"x0": 1}, {"x1": 0, "b2": 0, "c3": 1}))
+    assert rec.plans is None
+    engine.prepare(c)
+    assert list(rec.plans) == [()]
